@@ -4,6 +4,7 @@
 
 #include "core/row_access.h"
 #include "exec/parallel.h"
+#include "obs/trace.h"
 #include "opt/convergence.h"
 #include "simd/simd.h"
 #include "util/math.h"
@@ -12,20 +13,20 @@ namespace slimfast {
 
 namespace {
 
-/// Per-shard accumulator of the E-step: imputed per-claim correctness
-/// targets plus the shard's expected negative log-likelihood contribution.
+/// Per-shard accumulator of the E-step: per-source statistics of the
+/// imputed claim targets plus the shard's expected NLL contribution.
 struct EStepAcc {
-  std::vector<ObservationExample> examples;
+  SourceStats stats;
   double nll = 0.0;
 };
 
-/// Emits one unclamped row's imputed examples and NLL contribution.
+/// Adds one unclamped row's imputed claim targets and NLL contribution.
 /// Shared by the dense per-row and sparse batched shard passes so both
-/// produce the identical example sequence from identical posteriors.
-/// `probs` is the row's posterior; `soft_entropy` is its precomputed
-/// entropy (ignored on the hard path); claims arrive as parallel arrays
-/// of source and within-row candidate index (-1 = claimed value outside
-/// the domain).
+/// accumulate identical statistics from identical posteriors. `probs` is
+/// the row's posterior; `soft_entropy` is its precomputed entropy
+/// (ignored on the hard path); claims arrive as parallel arrays of source
+/// and within-row candidate index (-1 = claimed value outside the
+/// domain).
 inline void EmitRow(const double* probs, int64_t domain_size, bool soft,
                     double soft_entropy, const SourceId* claim_src,
                     const int32_t* claim_di, int64_t num_claims,
@@ -33,11 +34,9 @@ inline void EmitRow(const double* probs, int64_t domain_size, bool soft,
   if (domain_size == 0) return;  // degenerate row: nothing to impute
   if (soft) {
     // Soft target per claim: q = P(To = claimed value).
-    for (int64_t i = 0; i < num_claims; ++i) {
-      const int32_t di = claim_di[i];
-      const double q = di >= 0 ? probs[di] : 0.0;
-      acc->examples.push_back(ObservationExample{claim_src[i], q, 1.0});
-    }
+    simd::AccumulateWeightedCounts(claim_src, claim_di, num_claims, probs,
+                                   1.0, acc->stats.weight.data(),
+                                   acc->stats.label.data());
     acc->nll += soft_entropy;
   } else {
     int32_t map_index = 0;
@@ -45,8 +44,8 @@ inline void EmitRow(const double* probs, int64_t domain_size, bool soft,
       if (probs[di] > probs[map_index]) map_index = static_cast<int32_t>(di);
     }
     for (int64_t i = 0; i < num_claims; ++i) {
-      acc->examples.push_back(ObservationExample{
-          claim_src[i], claim_di[i] == map_index ? 1.0 : 0.0, 1.0});
+      acc->stats.Add(claim_src[i], claim_di[i] == map_index ? 1.0 : 0.0,
+                     1.0);
     }
     acc->nll += -std::log(std::max(probs[map_index], 1e-300));
   }
@@ -161,7 +160,9 @@ void EmLearner::Initialize(const Dataset& dataset,
   if (!labeled.empty()) {
     // Seed from the available ground truth (accuracy log-loss, matching
     // the M-step); errors here are non-fatal — EM proceeds from the prior.
-    ErmLearner erm(options_.m_step);
+    ErmOptions seed_fit = options_.m_step;
+    seed_fit.batch = false;  // the SGD fit, whatever m_step.batch says
+    ErmLearner erm(seed_fit);
     auto examples = ErmLearner::ObservationExamples(dataset, train_objects);
     auto st = erm.FitAccuracyLoss(examples, model, rng, instance);
     (void)st;
@@ -249,9 +250,15 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
                train_objects, model, rng, instance);
   }
 
-  // Observation examples for clamped objects are fixed across iterations.
-  std::vector<ObservationExample> clamped_examples =
-      ErmLearner::ObservationExamples(dataset, train_objects);
+  // Claims on clamped objects keep their targets across iterations, so
+  // their statistics are collected once per fit.
+  const int64_t num_sources =
+      static_cast<int64_t>(compiled.sigma_terms.size());
+  SourceStats clamped_stats(num_sources);
+  for (const ObservationExample& ex :
+       ErmLearner::ObservationExamples(dataset, train_objects)) {
+    clamped_stats.Add(ex.source, ex.label, ex.weight);
+  }
 
   ErmLearner m_step(options_.m_step);
   ConvergenceTracker tracker(options_.tolerance, options_.patience);
@@ -265,7 +272,6 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
           : options_.max_iterations;
 
   EmStats stats;
-  std::vector<ObservationExample> examples;
   for (int32_t iter = 0; iter < max_iterations; ++iter) {
     // ---- E-step: impute value posteriors for unclamped rows and turn
     // them into per-claim correctness targets. Given an assignment (or
@@ -273,46 +279,47 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
     // claim as Bernoulli(A_s), so the M-step below is exactly the
     // "maximum likelihood values given v_o" of Sec. 3.2 — and, unlike
     // refitting the object posterior on its own MAP labels, it cannot
-    // merely re-confirm the current predictions.
-    // Rows are sharded contiguously and the per-shard example lists are
-    // concatenated in shard order, so the imputed example sequence (and
-    // hence the M-step) is identical to a serial row-order pass for every
-    // thread count.
-    examples = clamped_examples;
-    EStepAcc estep = DeterministicReduce(
-        exec, static_cast<int64_t>(compiled.objects.size()), EStepAcc{},
-        [&](const ShardRange& range, EStepAcc* acc) {
-          if (instance != nullptr) {
-            EStepShardSparse(SparseRowAccess{instance, model}, options_,
-                             clamped, range, acc);
-          } else {
-            EStepShardDense(DenseRowAccess{&dataset, model}, options_,
-                            clamped, range, acc);
-          }
-        },
-        [](EStepAcc* total, const EStepAcc& shard) {
-          total->examples.insert(total->examples.end(),
-                                 shard.examples.begin(),
-                                 shard.examples.end());
-          total->nll += shard.nll;
-        });
-    examples.insert(examples.end(), estep.examples.begin(),
-                    estep.examples.end());
-    double expected_nll = estep.nll;
-    for (const LabeledExample& ex : labeled) {
-      expected_nll += model->ObjectNll(
-          compiled.objects[static_cast<size_t>(ex.row)], ex.target_index);
+    // merely re-confirm the current predictions. The targets enter the
+    // M-step only through per-source sums, which each shard accumulates
+    // and which fold in shard order: the statistics are identical for
+    // every thread count.
+    EStepAcc estep;
+    {
+      obs::TraceSpan span("core.em.estep");
+      estep = DeterministicReduce(
+          exec, static_cast<int64_t>(compiled.objects.size()),
+          EStepAcc{SourceStats(num_sources), 0.0},
+          [&](const ShardRange& range, EStepAcc* acc) {
+            if (instance != nullptr) {
+              EStepShardSparse(SparseRowAccess{instance, model}, options_,
+                               clamped, range, acc);
+            } else {
+              EStepShardDense(DenseRowAccess{&dataset, model}, options_,
+                              clamped, range, acc);
+            }
+          },
+          [](EStepAcc* total, const EStepAcc& shard) {
+            total->stats.Add(shard.stats);
+            total->nll += shard.nll;
+          });
+      estep.stats.Add(clamped_stats);
+      for (const LabeledExample& ex : labeled) {
+        estep.nll += model->ObjectNll(
+            compiled.objects[static_cast<size_t>(ex.row)], ex.target_index);
+      }
     }
 
-    // ---- M-step: warm-started accuracy-loss fit on all claim targets. ----
-    SLIMFAST_ASSIGN_OR_RETURN(
-        FitStats m_stats,
-        m_step.FitAccuracyLoss(examples, model, rng, instance));
-    (void)m_stats;
+    // ---- M-step: warm-started full-batch accuracy-loss fit on the
+    // per-source statistics of all claim targets. ----
+    {
+      obs::TraceSpan span("core.em.mstep");
+      SLIMFAST_RETURN_NOT_OK(
+          m_step.FitSourceStats(estep.stats, model).status());
+    }
 
     stats.iterations = iter + 1;
-    stats.final_expected_nll = expected_nll;
-    if (tracker.Update(expected_nll)) {
+    stats.final_expected_nll = estep.nll;
+    if (tracker.Update(estep.nll)) {
       stats.converged = true;
       break;
     }

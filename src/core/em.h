@@ -38,7 +38,11 @@ struct EmStats {
 /// estimated via their maximum likelihood values given v_o" and, unlike
 /// re-fitting the object posterior on its own MAP labels, makes real
 /// progress each round (the per-claim loss is not saturated by the model's
-/// own predictions).
+/// own predictions). The loss depends on a claim only through its source
+/// and target, so the E-step hands the M-step per-source sums (SourceStats)
+/// instead of one example per claim, and the M-step is the full-batch
+/// ErmLearner::FitSourceStats: O(sources + sigma terms) per epoch for hard
+/// and soft EM alike (`EmOptions::m_step.batch` is not consulted).
 ///
 /// Initialization: with no usable ground truth, source weights start at
 /// logit(init_accuracy) so the first E-step reduces to (weighted) majority
@@ -54,8 +58,8 @@ class EmLearner {
   /// (fully unsupervised). The E-step's per-object posterior imputation is
   /// sharded across `exec` (null = serial) with a deterministic reduce, so
   /// thread count never changes the fit. When `instance` is non-null the
-  /// E-step and M-step walk its flat sparse ranges; results are
-  /// bit-identical to the dense path (see core/row_access.h).
+  /// E-step walks its flat sparse ranges; results are bit-identical to
+  /// the dense path (see core/row_access.h).
   ///
   /// With `warm_start` set, the model's current weights are taken as the
   /// starting point — initialization (the logit-prior source weights and

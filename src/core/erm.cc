@@ -294,15 +294,15 @@ Result<FitStats> FitObjectLossBatchImpl(
   return stats;
 }
 
-/// The accuracy log-loss loop (Definition 7), against the sigma-term view
-/// of the policy.
-template <typename Rows>
-Result<FitStats> FitAccuracyLossImpl(
+/// The accuracy log-loss SGD loop (Definition 7). Trust scores read the
+/// compiled model's sigma terms, which every row representation shares.
+Result<FitStats> FitAccuracyLossSgd(
     const ErmOptions& options,
     const std::vector<ObservationExample>& examples, SlimFastModel* model,
-    Rng* rng, const Rows& rows) {
+    Rng* rng) {
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
+  const auto& sigma_terms = model->compiled().sigma_terms;
 
   LearningRateSchedule schedule(options.learning_rate, options.decay);
   ConvergenceTracker tracker(options.tolerance, options.patience);
@@ -321,17 +321,18 @@ Result<FitStats> FitAccuracyLossImpl(
     double loss_sum = 0.0;
     for (size_t idx : order) {
       const ObservationExample& ex = examples[static_cast<size_t>(idx)];
+      const auto& terms = sigma_terms[static_cast<size_t>(ex.source)];
       double sigma = 0.0;
-      rows.ForEachSigmaTerm(ex.source, [&](const ParamTerm& t) {
+      for (const ParamTerm& t : terms) {
         sigma += t.coeff * w[static_cast<size_t>(t.param)];
-      });
+      }
       double a = Sigmoid(sigma);
       // Binary cross-entropy with (possibly fractional) label; d/dσ = a - y.
       loss_sum += -ex.weight *
                   (ex.label * std::log(std::max(a, 1e-300)) +
                    (1.0 - ex.label) * std::log(std::max(1.0 - a, 1e-300)));
       double g_sigma = ex.weight * (a - ex.label);
-      rows.ForEachSigmaTerm(ex.source, [&](const ParamTerm& t) {
+      for (const ParamTerm& t : terms) {
         size_t pi = static_cast<size_t>(t.param);
         double g = g_sigma * t.coeff + options.l2 * w[pi];
         double step = eta;
@@ -341,7 +342,7 @@ Result<FitStats> FitAccuracyLossImpl(
                                  layout.IsCopyParam(t.param))) {
           w[pi] = SoftThreshold(w[pi], step * options.l1);
         }
-      });
+      }
     }
     stats.epochs = epoch + 1;
     stats.final_loss = loss_sum / total_weight;
@@ -353,36 +354,77 @@ Result<FitStats> FitAccuracyLossImpl(
   return stats;
 }
 
-/// Full-batch accuracy log-loss: the example stream is lowered once into
-/// SoA arrays and every epoch runs as batched kernel passes — trust
-/// scores via TermProducts + FoldRanges over the sigma CSR, then one
-/// BatchSigmoid and one BatchSoftplusNeg over all examples at once, a
-/// per-source gradient scatter, and a fused AdaGradProx update over the
-/// compact set of touched parameters. This is where learn_erm_simd's
-/// wide-vs-scalar speedup lives: the SGD loop above interleaves one
-/// sigmoid with one parameter update per example, while this loop gives
-/// the vectorizer tens of thousands of independent transcendentals per
-/// epoch.
-///
-/// The sigma structure is gathered from the dense compiled model in both
-/// policies (it is tiny — one short term list per source), so the sparse
-/// and dense routes run literally the same code on the same values and
-/// the bit-identical policy contract holds trivially. Serial by design,
-/// like every M-step: each epoch reads the previous epoch's weights.
-///
-/// Loss per example uses the algebraic form of binary cross-entropy,
-///   -y·log a - (1-y)·log(1-a)  =  log(1+exp(-σ)) + (1-y)·σ,
-/// which never needs the 1e-300 clamps of the SGD loop. Like the batch
-/// object loss, the gradient is normalized to mean (dataset-size
-/// independent steps) and L2/L1 apply once per epoch.
-Result<FitStats> FitAccuracyLossBatchImpl(
-    const ErmOptions& options,
-    const std::vector<ObservationExample>& examples, SlimFastModel* model) {
+}  // namespace
+
+Result<FitStats> ErmLearner::FitObjectLoss(
+    const std::vector<LabeledExample>& examples, SlimFastModel* model,
+    Rng* rng, Executor* exec, const CompiledInstance* instance) const {
+  if (examples.empty()) {
+    return Status::FailedPrecondition(
+        "ERM requires at least one labeled example");
+  }
+  if (options_.batch) {
+    if (instance != nullptr) {
+      return FitObjectLossBatchImpl(options_, examples, model, exec,
+                                    SparseRowAccess{instance, model});
+    }
+    return FitObjectLossBatchImpl(options_, examples, model, exec,
+                                  DenseRowAccess{nullptr, model});
+  }
+  if (instance != nullptr) {
+    return FitObjectLossSgdImpl(options_, examples, model, rng,
+                                SparseRowAccess{instance, model});
+  }
+  return FitObjectLossSgdImpl(options_, examples, model, rng,
+                              DenseRowAccess{nullptr, model});
+}
+
+Result<FitStats> ErmLearner::FitAccuracyLoss(
+    const std::vector<ObservationExample>& examples, SlimFastModel* model,
+    Rng* rng, const CompiledInstance* /*instance*/) const {
+  if (examples.empty()) {
+    return Status::FailedPrecondition(
+        "accuracy-loss ERM requires at least one labeled observation");
+  }
+  if (options_.batch) {
+    SourceStats stats(
+        static_cast<int64_t>(model->compiled().sigma_terms.size()));
+    for (const ObservationExample& ex : examples) {
+      stats.Add(ex.source, ex.label, ex.weight);
+    }
+    return FitSourceStats(stats, model);
+  }
+  return FitAccuracyLossSgd(options_, examples, model, rng);
+}
+
+/// The one full-batch accuracy log-loss loop: per epoch, trust scores via
+/// TermProducts + FoldRanges over the sigma CSR (gathered once from the
+/// compiled model), sigmoid and softplus per source, a gradient scatter
+/// onto the compact set of touched parameters, and a fused AdaGradProx
+/// update. The per-source loss uses the clamp-free algebraic form of
+/// binary cross-entropy, -y·log a - (1-y)·log(1-a) = log(1+exp(-σ)) +
+/// (1-y)·σ. Serial by design: each epoch reads the previous epoch's
+/// weights.
+Result<FitStats> ErmLearner::FitSourceStats(const SourceStats& source_stats,
+                                            SlimFastModel* model) const {
+  const ErmOptions& options = options_;
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
   const CompiledModel& compiled = model->compiled();
   const int64_t num_sources =
       static_cast<int64_t>(compiled.sigma_terms.size());
+  if (static_cast<int64_t>(source_stats.weight.size()) != num_sources ||
+      source_stats.label.size() != source_stats.weight.size()) {
+    return Status::InvalidArgument(
+        "source statistics do not match the model's source count");
+  }
+  const double* src_w = source_stats.weight.data();
+  const double* src_y = source_stats.label.data();
+  const double total_weight = simd::Sum(src_w, num_sources);
+  if (!(total_weight > 0.0)) {
+    return Status::FailedPrecondition(
+        "accuracy-loss ERM requires at least one labeled observation");
+  }
 
   // Sigma-term CSR in SoA form, gathered once per fit.
   std::vector<int64_t> sg_begin;
@@ -414,18 +456,6 @@ Result<FitStats> FitAccuracyLossBatchImpl(
   }
   const int64_t num_cparams = static_cast<int64_t>(params.size());
 
-  // Example stream in SoA form.
-  const int64_t n = static_cast<int64_t>(examples.size());
-  std::vector<int32_t> ex_src(static_cast<size_t>(n));
-  std::vector<double> ex_y(static_cast<size_t>(n)), ex_w(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    const ObservationExample& ex = examples[static_cast<size_t>(i)];
-    ex_src[static_cast<size_t>(i)] = ex.source;
-    ex_y[static_cast<size_t>(i)] = ex.label;
-    ex_w[static_cast<size_t>(i)] = ex.weight;
-  }
-  const double total_weight = simd::Sum(ex_w.data(), n);
-
   // Compact optimizer state (synced back to w after every epoch).
   std::vector<double> w_c(static_cast<size_t>(num_cparams));
   std::vector<double> accum_c(static_cast<size_t>(num_cparams), 0.0);
@@ -442,10 +472,9 @@ Result<FitStats> FitAccuracyLossBatchImpl(
 
   std::vector<double> sg_prod(static_cast<size_t>(num_sg));
   std::vector<double> sigma(static_cast<size_t>(num_sources));
-  std::vector<double> sig_ex(static_cast<size_t>(n));
-  std::vector<double> a_ex(static_cast<size_t>(n));
-  std::vector<double> sp_ex(static_cast<size_t>(n));
-  std::vector<double> loss_terms(static_cast<size_t>(n));
+  std::vector<double> a_src(static_cast<size_t>(num_sources));
+  std::vector<double> sp_src(static_cast<size_t>(num_sources));
+  std::vector<double> loss_src(static_cast<size_t>(num_sources));
   std::vector<double> gsrc(static_cast<size_t>(num_sources));
 
   LearningRateSchedule schedule(options.learning_rate, options.decay);
@@ -454,29 +483,22 @@ Result<FitStats> FitAccuracyLossBatchImpl(
 
   FitStats stats;
   for (int32_t epoch = 0; epoch < options.epochs; ++epoch) {
-    // Trust score per source.
+    // Trust score per source, then the transcendentals per source.
     simd::TermProducts(sg_coeff.data(), sg_param.data(), w.data(),
                        sg_prod.data(), num_sg);
     simd::FoldRanges(sg_begin.data(), num_sources, 0, sg_prod.data(),
                      nullptr, sigma.data());
-    // Broadcast to the example stream, then batch the transcendentals.
-    for (int64_t i = 0; i < n; ++i) {
-      sig_ex[static_cast<size_t>(i)] =
-          sigma[static_cast<size_t>(ex_src[static_cast<size_t>(i)])];
+    simd::BatchSigmoid(sigma.data(), a_src.data(), num_sources);
+    simd::BatchSoftplusNeg(sigma.data(), sp_src.data(), num_sources);
+    // loss_s = W_s·softplus(−σ_s) + (W_s − Y_s)·σ_s and
+    // dL/dσ_s = W_s·a_s − Y_s.
+    for (int64_t s = 0; s < num_sources; ++s) {
+      const size_t ss = static_cast<size_t>(s);
+      loss_src[ss] =
+          src_w[ss] * sp_src[ss] + (src_w[ss] - src_y[ss]) * sigma[ss];
+      gsrc[ss] = src_w[ss] * a_src[ss] - src_y[ss];
     }
-    simd::BatchSigmoid(sig_ex.data(), a_ex.data(), n);
-    simd::BatchSoftplusNeg(sig_ex.data(), sp_ex.data(), n);
-    for (int64_t i = 0; i < n; ++i) {
-      const size_t si = static_cast<size_t>(i);
-      loss_terms[si] = ex_w[si] * (sp_ex[si] + (1.0 - ex_y[si]) * sig_ex[si]);
-    }
-    const double loss_sum = simd::Sum(loss_terms.data(), n);
-    // dL/dσ_s = Σ_i w_i (a_i - y_i), scattered per source then per param.
-    std::fill(gsrc.begin(), gsrc.end(), 0.0);
-    for (int64_t i = 0; i < n; ++i) {
-      const size_t si = static_cast<size_t>(i);
-      gsrc[static_cast<size_t>(ex_src[si])] += ex_w[si] * (a_ex[si] - ex_y[si]);
-    }
+    const double loss_sum = simd::Sum(loss_src.data(), num_sources);
     std::fill(g_c.begin(), g_c.end(), 0.0);
     for (int64_t s = 0; s < num_sources; ++s) {
       const double gs = gsrc[static_cast<size_t>(s)];
@@ -513,51 +535,6 @@ Result<FitStats> FitAccuracyLossBatchImpl(
     }
   }
   return stats;
-}
-
-}  // namespace
-
-Result<FitStats> ErmLearner::FitObjectLoss(
-    const std::vector<LabeledExample>& examples, SlimFastModel* model,
-    Rng* rng, Executor* exec, const CompiledInstance* instance) const {
-  if (examples.empty()) {
-    return Status::FailedPrecondition(
-        "ERM requires at least one labeled example");
-  }
-  if (options_.batch) {
-    if (instance != nullptr) {
-      return FitObjectLossBatchImpl(options_, examples, model, exec,
-                                    SparseRowAccess{instance, model});
-    }
-    return FitObjectLossBatchImpl(options_, examples, model, exec,
-                                  DenseRowAccess{nullptr, model});
-  }
-  if (instance != nullptr) {
-    return FitObjectLossSgdImpl(options_, examples, model, rng,
-                                SparseRowAccess{instance, model});
-  }
-  return FitObjectLossSgdImpl(options_, examples, model, rng,
-                              DenseRowAccess{nullptr, model});
-}
-
-Result<FitStats> ErmLearner::FitAccuracyLoss(
-    const std::vector<ObservationExample>& examples, SlimFastModel* model,
-    Rng* rng, const CompiledInstance* instance) const {
-  if (examples.empty()) {
-    return Status::FailedPrecondition(
-        "accuracy-loss ERM requires at least one labeled observation");
-  }
-  if (options_.batch) {
-    // The batch fit reads the sigma structure from the compiled model in
-    // both policies (identical values either way), so it takes no policy.
-    return FitAccuracyLossBatchImpl(options_, examples, model);
-  }
-  if (instance != nullptr) {
-    return FitAccuracyLossImpl(options_, examples, model, rng,
-                               SparseRowAccess{instance, model});
-  }
-  return FitAccuracyLossImpl(options_, examples, model, rng,
-                             DenseRowAccess{nullptr, model});
 }
 
 Result<FitStats> ErmLearner::Fit(const Dataset& dataset,

@@ -32,6 +32,28 @@ struct ObservationExample {
   double weight = 1.0;
 };
 
+/// Sufficient statistics of the accuracy log-loss (Definition 7), which
+/// depends on an example only through its source, label and weight:
+/// weight[s] = W_s = Σ weight and label[s] = Y_s = Σ weight·label.
+struct SourceStats {
+  SourceStats() = default;
+  explicit SourceStats(int64_t num_sources)
+      : weight(static_cast<size_t>(num_sources)),
+        label(static_cast<size_t>(num_sources)) {}
+  void Add(SourceId source, double y, double w) {
+    weight[static_cast<size_t>(source)] += w;
+    label[static_cast<size_t>(source)] += w * y;
+  }
+  void Add(const SourceStats& other) {  // same number of sources
+    for (size_t s = 0; s < weight.size(); ++s) {
+      weight[s] += other.weight[s];
+      label[s] += other.label[s];
+    }
+  }
+  std::vector<double> weight;
+  std::vector<double> label;
+};
+
 /// Statistics of a learner run.
 struct FitStats {
   double final_loss = 0.0;  ///< mean weighted loss of the last epoch
@@ -77,16 +99,24 @@ class ErmLearner {
                                      nullptr) const;
 
   /// Fits `model` in place on accuracy log-loss examples (Definition 7).
-  /// `instance` selects the sparse sigma-term ranges (same contract).
-  /// With options().batch set, runs the full-batch fit instead of SGD:
-  /// every epoch batches the per-example sigmoids/softplus through the
-  /// SIMD kernels and applies one fused AdaGrad + proximal update per
-  /// touched parameter (`rng` is unused — no shuffling). Batch and SGD
-  /// optimize the same objective but take different paths to it; each is
-  /// bit-deterministic on its own.
+  /// Trust scores read the compiled model's sigma terms, which every row
+  /// representation shares, so `instance` does not change the fit. With
+  /// options().batch set, collapses the examples into SourceStats and
+  /// runs FitSourceStats instead of SGD (`rng` is unused — no shuffling).
+  /// Batch and SGD optimize the same objective but take different paths
+  /// to it; each is bit-deterministic on its own.
   Result<FitStats> FitAccuracyLoss(
       const std::vector<ObservationExample>& examples, SlimFastModel* model,
       Rng* rng, const CompiledInstance* instance = nullptr) const;
+
+  /// Full-batch proximal fit of the accuracy log-loss on per-source
+  /// statistics, whatever options().batch says:
+  ///   loss = Σ_s W_s·softplus(−σ_s) + (W_s − Y_s)·σ_s
+  ///   dL/dσ_s = W_s·sigmoid(σ_s) − Y_s
+  /// normalized to the mean over Σ_s W_s. An epoch costs O(sources +
+  /// sigma terms), independent of the number of claims behind the stats.
+  Result<FitStats> FitSourceStats(const SourceStats& stats,
+                                  SlimFastModel* model) const;
 
   /// Convenience dispatch on options().loss building examples internally.
   Result<FitStats> Fit(const Dataset& dataset,

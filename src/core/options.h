@@ -92,12 +92,12 @@ struct EmOptions {
   /// Soft EM uses posterior-weighted pseudo-labels; hard EM (the paper's
   /// E-step) uses MAP pseudo-labels.
   bool soft = false;
-  /// Pseudo-label posterior mass below this is dropped in soft mode.
-  double soft_min_weight = 1e-3;
   /// Initial source accuracy when no ground truth is available to fit an
   /// initial model.
   double init_accuracy = 0.7;
-  /// ERM sub-solver configuration for the M-step (warm-started each round).
+  /// ERM sub-solver configuration for the M-step (warm-started each
+  /// round). `batch` and `loss` have no effect on EM: every M-step is the
+  /// full-batch accuracy-loss fit on per-source statistics.
   ErmOptions m_step;
   /// Convergence on the expected log-likelihood.
   double tolerance = 1e-5;

@@ -65,15 +65,6 @@ struct DenseRowAccess {
     }
   }
 
-  /// Applies `fn(term)` to every trust-score term of `source`.
-  template <typename Fn>
-  void ForEachSigmaTerm(SourceId source, Fn&& fn) const {
-    for (const ParamTerm& t :
-         compiled->sigma_terms[static_cast<size_t>(source)]) {
-      fn(t);
-    }
-  }
-
   /// Applies `fn(source, candidate_index)` to every claim on row `r`, in
   /// dataset insertion order. `candidate_index` locates the claimed value
   /// in the row's domain. Requires a non-null `dataset`: ERM constructs
@@ -104,8 +95,6 @@ struct SparseRowAccess {
         cand_offsets(inst->cand_offsets.data()),
         term_begin(inst->term_begin.data()),
         terms(inst->terms.data()),
-        sigma_begin(inst->sigma_begin.data()),
-        sigma_terms(inst->sigma_terms.data()),
         term_coeff(inst->term_coeff.data()),
         term_param(inst->term_param.data()),
         claim_begin(inst->claim_begin.data()),
@@ -118,8 +107,6 @@ struct SparseRowAccess {
   const double* cand_offsets;
   const int64_t* term_begin;
   const ParamTerm* terms;
-  const int64_t* sigma_begin;
-  const ParamTerm* sigma_terms;
   /// SoA mirrors of `terms` (see CompiledInstance), the layout the
   /// batched SIMD pipelines stream.
   const double* term_coeff;
@@ -183,14 +170,6 @@ struct SparseRowAccess {
     const int64_t end = term_begin[cand + 1];
     for (int64_t t = term_begin[cand]; t < end; ++t) {
       fn(terms[t]);
-    }
-  }
-
-  template <typename Fn>
-  void ForEachSigmaTerm(SourceId source, Fn&& fn) const {
-    const int64_t end = sigma_begin[source + 1];
-    for (int64_t t = sigma_begin[source]; t < end; ++t) {
-      fn(sigma_terms[t]);
     }
   }
 

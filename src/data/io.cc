@@ -1,6 +1,8 @@
 #include "data/io.h"
 
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "util/csv.h"
@@ -73,6 +75,13 @@ Result<Dataset> LoadDataset(const std::string& dir) {
   SLIMFAST_ASSIGN_OR_RETURN(int64_t num_sources, ParseInt(meta_row[1]));
   SLIMFAST_ASSIGN_OR_RETURN(int64_t num_objects, ParseInt(meta_row[2]));
   SLIMFAST_ASSIGN_OR_RETURN(int64_t num_values, ParseInt(meta_row[3]));
+  // Counts index int32 ids, and every object needs a value domain.
+  constexpr int64_t kMaxCount = std::numeric_limits<int32_t>::max();
+  if (num_sources < 0 || num_sources > kMaxCount || num_objects < 0 ||
+      num_objects > kMaxCount || num_values < 1 || num_values > kMaxCount) {
+    return Status::InvalidArgument("meta.csv counts out of range in '" + dir +
+                                   "'");
+  }
 
   DatasetBuilder builder(meta_row[0], static_cast<int32_t>(num_sources),
                          static_cast<int32_t>(num_objects),

@@ -1,8 +1,18 @@
+#include <cmath>
+#include <set>
+
 #include <gtest/gtest.h>
 
+#include "baselines/majority.h"
+#include "core/compiled_instance.h"
 #include "core/em.h"
 #include "eval/metrics.h"
+#include "opt/proximal.h"
+#include "opt/schedule.h"
+#include "simd/simd.h"
+#include "synth/synthetic.h"
 #include "test_util.h"
+#include "util/math.h"
 
 namespace slimfast {
 namespace {
@@ -186,6 +196,184 @@ TEST(EmTest, ExpectedNllDecreasesOrConverges) {
 
   EXPECT_LE(stats_many.final_expected_nll,
             stats_few.final_expected_nll + 1e-6);
+}
+
+/// A small instance with domain features, so every trust score is a
+/// several-term sum (source weight + one feature weight per group).
+Dataset MakeFeaturedDataset(int32_t num_sources, int32_t num_objects,
+                            double density, uint64_t seed) {
+  SyntheticConfig config;
+  config.num_sources = num_sources;
+  config.num_objects = num_objects;
+  config.density = density;
+  config.num_feature_groups = 4;
+  config.values_per_group = 8;
+  config.feature_effect = 0.1;
+  return GenerateSynthetic(config, seed).ValueOrDie().dataset;
+}
+
+/// The per-example full-batch accuracy-loss fit, written out directly: a
+/// trust score per source, then per example sigmoid/softplus, loss and
+/// gradient, then one AdaGrad (or plain) proximal step per parameter.
+/// Returns the last epoch's mean loss.
+double PerExampleBatchFit(const ErmOptions& options,
+                          const std::vector<ObservationExample>& examples,
+                          SlimFastModel* model) {
+  std::vector<double>& w = *model->mutable_weights();
+  const ParamLayout& layout = model->layout();
+  const auto& sigma_terms = model->compiled().sigma_terms;
+  std::set<ParamId> params;
+  for (const auto& terms : sigma_terms) {
+    for (const ParamTerm& t : terms) params.insert(t.param);
+  }
+  double total_weight = 0.0;
+  for (const ObservationExample& ex : examples) total_weight += ex.weight;
+  LearningRateSchedule schedule(options.learning_rate, options.decay);
+  std::vector<double> accum(w.size(), 0.0);
+  double loss = 0.0;
+  for (int32_t epoch = 0; epoch < options.epochs; ++epoch) {
+    std::vector<double> sigma(sigma_terms.size(), 0.0);
+    for (size_t s = 0; s < sigma_terms.size(); ++s) {
+      for (const ParamTerm& t : sigma_terms[s]) {
+        sigma[s] += t.coeff * w[static_cast<size_t>(t.param)];
+      }
+    }
+    std::vector<double> grad(w.size(), 0.0);
+    loss = 0.0;
+    for (const ObservationExample& ex : examples) {
+      const double z = sigma[static_cast<size_t>(ex.source)];
+      loss += ex.weight * (std::log1p(std::exp(-z)) + (1.0 - ex.label) * z);
+      const double g = ex.weight * (Sigmoid(z) - ex.label);
+      for (const ParamTerm& t : sigma_terms[static_cast<size_t>(ex.source)]) {
+        grad[static_cast<size_t>(t.param)] += g * t.coeff;
+      }
+    }
+    const double eta = schedule.At(epoch);
+    for (ParamId p : params) {
+      const size_t pi = static_cast<size_t>(p);
+      const double g = grad[pi] / total_weight + options.l2 * w[pi];
+      double step = eta;
+      if (options.use_adagrad) {
+        accum[pi] += g * g;
+        step = eta / std::sqrt(accum[pi] + 1e-8);
+      }
+      const bool shrink = layout.IsFeatureParam(p) || layout.IsCopyParam(p);
+      w[pi] = SoftThreshold(w[pi] - step * g,
+                            shrink ? step * options.l1 : 0.0);
+    }
+  }
+  return loss / total_weight;
+}
+
+TEST(EmStatsTest, CollapsedFitMatchesPerExampleBatchFit) {
+  Dataset d = MakeFeaturedDataset(12, 40, 0.5, 17);
+  auto compiled = Compile(d, ModelConfig{}).ValueOrDie();
+  // Mixed labels (0, 1, fractional) and weights, sources repeated in an
+  // interleaved order, one source never observed.
+  std::vector<ObservationExample> examples;
+  const double labels[] = {1.0, 0.0, 0.3, 1.0, 0.85};
+  const double weights[] = {1.0, 0.5, 2.0, 1.0};
+  for (int32_t i = 0; i < 97; ++i) {
+    examples.push_back(ObservationExample{(i * 7) % 11, labels[i % 5],
+                                          weights[i % 4]});
+  }
+  for (bool adagrad : {true, false}) {
+    SCOPED_TRACE(adagrad ? "adagrad" : "plain");
+    ErmOptions options = EmOptions{}.m_step;
+    options.loss = ErmLoss::kAccuracyLogLoss;
+    options.batch = true;
+    options.use_adagrad = adagrad;
+    options.tolerance = 0.0;  // run every epoch in both fits
+    options.l1 = 0.01;
+
+    SlimFastModel collapsed(compiled);
+    SlimFastModel reference(compiled);
+    std::vector<double> start(collapsed.weights().size());
+    for (size_t i = 0; i < start.size(); ++i) {
+      start[i] = 0.1 * static_cast<double>(i % 5) - 0.2;
+    }
+    collapsed.SetWeights(start);
+    reference.SetWeights(start);
+
+    Rng rng(1);
+    ErmLearner learner(options);
+    FitStats stats =
+        learner.FitAccuracyLoss(examples, &collapsed, &rng).ValueOrDie();
+    const double reference_loss =
+        PerExampleBatchFit(options, examples, &reference);
+    EXPECT_EQ(stats.epochs, options.epochs);
+    EXPECT_NEAR(stats.final_loss, reference_loss,
+                1e-12 * std::fabs(reference_loss));
+    for (size_t i = 0; i < start.size(); ++i) {
+      const double r = reference.weights()[i];
+      EXPECT_NEAR(collapsed.weights()[i], r,
+                  1e-12 * std::max(1.0, std::fabs(r)))
+          << "param " << i;
+    }
+  }
+}
+
+TEST(EmStatsTest, FitSourceStatsRejectsMismatchedOrEmptyStats) {
+  Dataset d = MakeFeaturedDataset(6, 10, 0.5, 3);
+  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  ErmLearner learner(EmOptions{}.m_step);
+  Status mismatched = learner.FitSourceStats(SourceStats(5), &model).status();
+  EXPECT_TRUE(mismatched.IsInvalidArgument());
+  Status empty = learner.FitSourceStats(SourceStats(6), &model).status();
+  EXPECT_TRUE(empty.IsFailedPrecondition());
+}
+
+/// Hard and soft EM fit identical weights, to the bit, whatever the
+/// thread count, kernel table, or row representation.
+TEST(EmStatsTest, HardAndSoftEmBitIdenticalAcrossThreadsAndSimd) {
+  Dataset d = MakeFeaturedDataset(40, 300, 0.15, 23);
+  Rng split_rng(5);
+  TrainTestSplit split = MakeSplit(d, 0.05, &split_rng).ValueOrDie();
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  const bool wide_default = simd::WideEnabled();
+  for (bool soft : {false, true}) {
+    SCOPED_TRACE(soft ? "soft" : "hard");
+    EmOptions options;
+    options.soft = soft;
+    auto fit = [&](int32_t threads, bool wide, bool sparse) {
+      ExecOptions exec_options;
+      exec_options.threads = threads;
+      Executor exec(exec_options);
+      simd::SetWideEnabledForTest(wide);
+      SlimFastModel model(instance->model);
+      Rng rng(9);
+      const CompiledInstance* rows = sparse ? instance.get() : nullptr;
+      EmLearner learner(options);
+      auto stats = learner.Fit(d, split.train_objects, &model, &rng, &exec,
+                               rows);
+      simd::SetWideEnabledForTest(wide_default);
+      EXPECT_TRUE(stats.ok()) << stats.status();
+      return model.weights();
+    };
+    const std::vector<double> baseline = fit(1, wide_default, true);
+    EXPECT_EQ(fit(4, wide_default, true), baseline);
+    EXPECT_EQ(fit(1, false, true), baseline);
+    EXPECT_EQ(fit(4, false, false), baseline);
+  }
+}
+
+/// The benchmark's EM shape — 150 sources, density 0.05, 1% labels, four
+/// weakly predictive feature groups — where the optimizer picks EM:
+/// held-out accuracy reaches MajorityVote's on the same splits.
+TEST(EmStatsTest, FuseEmShapeHeldOutAccuracyAtLeastMajority) {
+  double em_sum = 0.0;
+  double majority_sum = 0.0;
+  const int kDatasets = 4;
+  for (uint64_t seed = 1; seed <= kDatasets; ++seed) {
+    Dataset d = MakeFeaturedDataset(150, 1000, 0.05, seed);
+    Rng rng(seed);
+    TrainTestSplit split = MakeSplit(d, 0.01, &rng).ValueOrDie();
+    auto em = MakeSlimFastEm();
+    MajorityVote majority;
+    em_sum += testutil::RunHeldOutAccuracy(em.get(), d, split, seed);
+    majority_sum += testutil::RunHeldOutAccuracy(&majority, d, split, seed);
+  }
+  EXPECT_GE(em_sum / kDatasets, majority_sum / kDatasets);
 }
 
 }  // namespace

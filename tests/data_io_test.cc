@@ -1,4 +1,5 @@
 #include <filesystem>
+#include <fstream>
 
 #include <gtest/gtest.h>
 
@@ -96,6 +97,23 @@ TEST_F(DataIoTest, EmptyFeatureSpaceRoundTrips) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->features().num_features(), 0);
   EXPECT_EQ(loaded->num_observations(), 1);
+}
+
+/// meta.csv counts that are negative, do not fit an int32 id, or leave
+/// objects without a value domain come back as InvalidArgument instead
+/// of aborting or throwing inside the dataset builder.
+TEST_F(DataIoTest, OutOfRangeMetaCountsAreRejected) {
+  for (const char* counts : {"2,2,0", "2,3000000000,2", "-1,2,2", "2,2,-3"}) {
+    SCOPED_TRACE(counts);
+    ASSERT_TRUE(SaveDataset(MakeRichDataset(), dir_).ok());
+    {
+      std::ofstream meta(dir_ + "/meta.csv", std::ios::trunc);
+      meta << "name,num_sources,num_objects,num_values\n"
+           << "bad," << counts << "\n";
+    }
+    auto loaded = LoadDataset(dir_);
+    EXPECT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
+  }
 }
 
 }  // namespace

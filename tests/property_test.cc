@@ -161,9 +161,9 @@ TEST(PropertyTest, RunInvariantsThreadsRepresentationSimd) {
   }
 }
 
-/// The batch code paths (batched soft-EM M-step, sharded batch-ERM) are
-/// not exercised by the default presets; sweep them explicitly on a
-/// smaller universe budget with all three variations.
+/// Soft EM and sharded batch-ERM are not exercised by the default
+/// presets; sweep them explicitly on a smaller universe budget with all
+/// three variations.
 TEST(PropertyTest, RunInvariantsBatchLearners) {
   const bool wide_default = simd::WideEnabled();
   for (uint64_t seed = 0; seed < kNumUniverses; seed += 4) {
@@ -177,7 +177,6 @@ TEST(PropertyTest, RunInvariantsBatchLearners) {
       options.use_sparse = true;
       options.use_compilation_cache = false;
       options.em.soft = true;
-      options.em.m_step.batch = true;
       options.erm.batch = true;
       return em ? MakeSlimFastEm(options) : MakeSlimFastErm(options);
     };

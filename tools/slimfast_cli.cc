@@ -761,8 +761,9 @@ int RunReplay(const CliOptions& options) {
 ///                      the cost every re-fit pays after the first
 ///   learn_erm_batch    batch ERM, legacy dense representation
 ///   learn_erm_sparse   batch ERM over the CompiledInstance flat ranges
-///   learn_em           EM, legacy dense representation
-///   learn_em_sparse    EM over the CompiledInstance flat ranges
+///   learn_em           hard EM (M-step on per-source statistics),
+///                      legacy dense representation
+///   learn_em_sparse    the same EM over the CompiledInstance flat ranges
 ///   learn_em_simd      soft EM over the flat ranges with the wide SIMD
 ///                      kernel table, vs the same fit forced scalar —
 ///                      outputs bit-identical (the lane-stable contract)
@@ -937,7 +938,7 @@ int RunBench(const CliOptions& options) {
   // determinism contract a per-commit gate, not a tolerance. The two
   // configs are the learners whose hot loops stream the kernels:
   //   learn_em_simd    soft EM (batched E-step posterior + entropy
-  //                    pipeline, batch M-step)
+  //                    pipeline, M-step on per-source statistics)
   //   learn_erm_simd   full-batch accuracy-log-loss ERM (batched
   //                    sigmoid/softplus epochs, fused AdaGrad update)
   // Process-default dispatch: wide only when compiled in, permitted by
@@ -956,7 +957,6 @@ int RunBench(const CliOptions& options) {
     o.use_sparse = true;
     o.use_compilation_cache = false;
     o.em.soft = true;
-    o.em.m_step.batch = true;
     // Pin the iteration budget so the phase measures steady per-sweep
     // cost, not when convergence happens to trigger.
     o.em.tolerance = 0.0;

@@ -1,15 +1,14 @@
 // Micro-benchmarks (google-benchmark) of the library's hot components:
-// model compilation, posterior evaluation, ERM epochs, EM iterations,
-// agreement-matrix construction, and Gibbs sweeps. These back the runtime
-// claims of Tables 5/6 with per-component numbers.
+// model compilation, posterior evaluation, ERM epochs, EM iterations, and
+// agreement-matrix construction. These back the runtime claims of Tables
+// 5/6 with per-component numbers.
 
 #include <benchmark/benchmark.h>
 
+#include "core/compiled_instance.h"
 #include "core/em.h"
 #include "core/erm.h"
-#include "core/factor_graph_compile.h"
 #include "core/model.h"
-#include "factorgraph/gibbs.h"
 #include "opt/matrix_completion.h"
 #include "synth/synthetic.h"
 #include "util/random.h"
@@ -61,7 +60,8 @@ BENCHMARK(BM_PosteriorAllObjects);
 void BM_ErmEpoch(benchmark::State& state) {
   auto synth = MakeBenchInstance(500, 1000, 0.02);
   const Dataset& d = synth.dataset;
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  SlimFastModel model(instance->model);
   auto examples = ErmLearner::ObjectExamples(d, model.compiled(),
                                              d.ObjectsWithTruth());
   ErmOptions options;
@@ -69,7 +69,8 @@ void BM_ErmEpoch(benchmark::State& state) {
   ErmLearner learner(options);
   Rng rng(1);
   for (auto _ : state) {
-    auto stats = learner.FitObjectLoss(examples, &model, &rng);
+    auto stats = learner.FitObjectLoss(examples, &model, &rng, nullptr,
+                                       instance.get());
     benchmark::DoNotOptimize(stats.ok());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -80,14 +81,14 @@ BENCHMARK(BM_ErmEpoch);
 void BM_EmIteration(benchmark::State& state) {
   auto synth = MakeBenchInstance(500, 1000, 0.02);
   const Dataset& d = synth.dataset;
-  ModelConfig config;
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
   EmOptions options;
   options.max_iterations = 1;
   EmLearner learner(options);
   for (auto _ : state) {
-    SlimFastModel model(Compile(d, config).ValueOrDie());
+    SlimFastModel model(instance->model);
     Rng rng(1);
-    auto stats = learner.Fit(d, {}, &model, &rng);
+    auto stats = learner.Fit(d, {}, &model, &rng, nullptr, instance.get());
     benchmark::DoNotOptimize(stats.ok());
   }
 }
@@ -102,25 +103,6 @@ void BM_AgreementMatrix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AgreementMatrix)->Arg(100)->Arg(500)->Arg(1000);
-
-void BM_GibbsSweep(benchmark::State& state) {
-  auto synth = MakeBenchInstance(200, 500, 0.05);
-  SlimFastModel model(Compile(synth.dataset, ModelConfig{}).ValueOrDie());
-  auto compilation =
-      CompileToFactorGraph(model, synth.dataset, nullptr).ValueOrDie();
-  GibbsOptions options;
-  options.burn_in = 0;
-  options.samples = 1;
-  Rng rng(1);
-  for (auto _ : state) {
-    GibbsSampler sampler(&compilation.graph, options);
-    auto marginals = sampler.EstimateMarginals(&rng);
-    benchmark::DoNotOptimize(marginals.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          compilation.graph.num_variables());
-}
-BENCHMARK(BM_GibbsSweep);
 
 }  // namespace
 }  // namespace slimfast

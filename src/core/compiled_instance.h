@@ -20,11 +20,11 @@ namespace slimfast {
 /// arrays.
 ///
 /// The graph topology and feature sparsity pattern are fixed for a given
-/// dataset, so batch-ERM epochs, EM E-steps, and Gibbs sweeps only ever
-/// re-read this structure with fresh weights. The legacy dense path walks
-/// CompiledModel's nested per-object vectors; the sparse path walks these
-/// flat ranges in the same element order, so both produce bit-identical
-/// results (asserted per preset in determinism_test).
+/// dataset, so ERM epochs and EM E-steps only ever re-read this structure
+/// with fresh weights; the learners' per-iteration loops walk only these
+/// flat ranges. `PredictAll`, explain and snapshots read the nested rows
+/// of `model`, which the flat ranges mirror element for element, so both
+/// give bit-identical posteriors (asserted in core_sparse_instance_test).
 ///
 /// Index spaces:
 ///   rows        [0, num_rows)        — CompiledModel::objects order
@@ -84,7 +84,7 @@ struct CompiledInstance {
 };
 
 /// Linear score of global candidate `cand` under weights `w` — the same
-/// lane-stable accumulation as SlimFastModel::ValueScore on the dense
+/// lane-stable accumulation as SlimFastModel::ValueScore on the nested
 /// rows and as the batched TermProducts + FoldRanges kernel pipeline.
 inline double SparseValueScore(const CompiledInstance& inst, int64_t cand,
                                const std::vector<double>& w) {
@@ -98,17 +98,25 @@ inline double SparseValueScore(const CompiledInstance& inst, int64_t cand,
          });
 }
 
-/// Posterior over row `r`'s candidates (softmax of SparseValueScore);
-/// bit-identical to SlimFastModel::Posterior on the matching dense row.
+/// Raw candidate scores of row `r` (SparseValueScore of each of its
+/// candidates), written to `out[0..DomainSize(r))` — the pre-softmax part
+/// of SparsePosterior, for callers that batch the softmax over many rows.
+inline void SparseScores(const CompiledInstance& inst, int32_t r,
+                         const std::vector<double>& w, double* out) {
+  const int64_t begin = inst.row_begin[static_cast<size_t>(r)];
+  const int64_t end = inst.row_begin[static_cast<size_t>(r) + 1];
+  for (int64_t c = begin; c < end; ++c) {
+    out[c - begin] = SparseValueScore(inst, c, w);
+  }
+}
+
+/// Posterior over row `r`'s candidates (softmax of SparseScores);
+/// bit-identical to SlimFastModel::Posterior on the matching nested row.
 inline void SparsePosterior(const CompiledInstance& inst, int32_t r,
                             const std::vector<double>& w,
                             std::vector<double>* probs) {
-  const int64_t begin = inst.row_begin[static_cast<size_t>(r)];
-  const int64_t end = inst.row_begin[static_cast<size_t>(r) + 1];
-  probs->resize(static_cast<size_t>(end - begin));
-  for (int64_t c = begin; c < end; ++c) {
-    (*probs)[static_cast<size_t>(c - begin)] = SparseValueScore(inst, c, w);
-  }
+  probs->resize(static_cast<size_t>(inst.DomainSize(r)));
+  SparseScores(inst, r, w, probs->data());
   SoftmaxInPlace(probs);
 }
 

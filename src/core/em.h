@@ -26,10 +26,9 @@ struct EmStats {
 /// Semi-supervised expectation maximization (Sec. 3.2).
 ///
 /// E-step: compute the posterior of every unlabeled object under the
-/// current weights; labeled (ground-truth) objects stay clamped — exactly
-/// the evidence semantics of the compiled factor graph. The paper's E-step
-/// assigns MAP values (hard EM, the default); soft EM keeps the full
-/// posterior as example weights.
+/// current weights; labeled (ground-truth) objects stay clamped as
+/// evidence. The paper's E-step assigns MAP values (hard EM, the
+/// default); soft EM keeps the full posterior as example weights.
 ///
 /// M-step: given the (hard or soft) assignments, the likelihood of the
 /// observations factors per claim as Bernoulli(A_s); the M-step therefore
@@ -57,9 +56,9 @@ class EmLearner {
   /// Runs EM on `model` in place. `train_objects` may be empty
   /// (fully unsupervised). The E-step's per-object posterior imputation is
   /// sharded across `exec` (null = serial) with a deterministic reduce, so
-  /// thread count never changes the fit. When `instance` is non-null the
-  /// E-step walks its flat sparse ranges; results are bit-identical to
-  /// the dense path (see core/row_access.h).
+  /// thread count never changes the fit. The E-step walks the flat CSR
+  /// rows of `instance`, the compilation `model` was built on; a null
+  /// `instance` is InvalidArgument.
   ///
   /// With `warm_start` set, the model's current weights are taken as the
   /// starting point — initialization (the logit-prior source weights and
@@ -70,9 +69,8 @@ class EmLearner {
   /// keeps the full cold iteration budget.
   Result<EmStats> Fit(const Dataset& dataset,
                       const std::vector<ObjectId>& train_objects,
-                      SlimFastModel* model, Rng* rng,
-                      Executor* exec = nullptr,
-                      const CompiledInstance* instance = nullptr,
+                      SlimFastModel* model, Rng* rng, Executor* exec,
+                      const CompiledInstance* instance,
                       bool warm_start = false) const;
 
  private:
@@ -82,7 +80,7 @@ class EmLearner {
                           SlimFastModel* model, Rng* rng,
                           bool seed_from_labels, bool warm_start,
                           Executor* exec,
-                          const CompiledInstance* instance) const;
+                          const CompiledInstance& instance) const;
 
   /// MAP accuracy of `model` on the clamped training objects.
   static double TrainAccuracy(const Dataset& dataset,
@@ -93,8 +91,7 @@ class EmLearner {
   void Initialize(const Dataset& dataset,
                   const std::vector<LabeledExample>& labeled,
                   const std::vector<ObjectId>& train_objects,
-                  SlimFastModel* model, Rng* rng,
-                  const CompiledInstance* instance) const;
+                  SlimFastModel* model, Rng* rng) const;
 
   EmOptions options_;
 };

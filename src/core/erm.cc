@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/row_access.h"
-#include "simd/simd.h"
+#include "core/compiled_instance.h"
 #include "opt/adagrad.h"
 #include "opt/convergence.h"
 #include "opt/proximal.h"
 #include "opt/schedule.h"
 #include "opt/sparse_grad.h"
+#include "simd/simd.h"
 #include "util/math.h"
 
 namespace slimfast {
@@ -47,14 +47,24 @@ std::vector<ObservationExample> ErmLearner::ObservationExamples(
 
 namespace {
 
-/// The SGD loop of FitObjectLoss, written once against the row-access
-/// policy: `rows` supplies posterior and term iteration over either the
-/// dense nested vectors or the flat sparse ranges. Same elements, same
-/// order, same arithmetic — so the two instantiations are bit-identical.
-template <typename Rows>
-Result<FitStats> FitObjectLossSgdImpl(
-    const ErmOptions& options, const std::vector<LabeledExample>& examples,
-    SlimFastModel* model, Rng* rng, const Rows& rows) {
+/// Applies `fn(term)` to every posterior term of candidate `di` of row
+/// `r`, in the instance's flat term order.
+template <typename Fn>
+inline void ForEachTerm(const CompiledInstance& inst, int32_t r, size_t di,
+                        Fn&& fn) {
+  const size_t cand =
+      static_cast<size_t>(inst.row_begin[static_cast<size_t>(r)]) + di;
+  const int64_t end = inst.term_begin[cand + 1];
+  for (int64_t t = inst.term_begin[cand]; t < end; ++t) {
+    fn(inst.terms[static_cast<size_t>(t)]);
+  }
+}
+
+/// The SGD loop of FitObjectLoss over the instance's flat rows.
+Result<FitStats> FitObjectLossSgd(const ErmOptions& options,
+                                  const std::vector<LabeledExample>& examples,
+                                  SlimFastModel* model, Rng* rng,
+                                  const CompiledInstance& inst) {
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
 
@@ -79,21 +89,20 @@ Result<FitStats> FitObjectLossSgdImpl(
     for (size_t idx : order) {
       const LabeledExample& ex = examples[static_cast<size_t>(idx)];
 
-      rows.Posterior(ex.row, &probs);
+      SparsePosterior(inst, ex.row, w, &probs);
       double p_target =
           std::max(probs[static_cast<size_t>(ex.target_index)], 1e-300);
       loss_sum += -ex.weight * std::log(p_target);
 
       // d(-log p_target)/dw = Σ_d p_d * x_d - x_target.
       grad.Clear();
-      rows.ForEachTerm(ex.row, static_cast<size_t>(ex.target_index),
-                       [&](const ParamTerm& t) {
-                         grad.Add(t.param, t.coeff, -ex.weight);
-                       });
-      const size_t domain_size = rows.DomainSize(ex.row);
-      for (size_t di = 0; di < domain_size; ++di) {
+      ForEachTerm(inst, ex.row, static_cast<size_t>(ex.target_index),
+                  [&](const ParamTerm& t) {
+                    grad.Add(t.param, t.coeff, -ex.weight);
+                  });
+      for (size_t di = 0; di < probs.size(); ++di) {
         double coeff = ex.weight * probs[di];
-        rows.ForEachTerm(ex.row, di, [&](const ParamTerm& t) {
+        ForEachTerm(inst, ex.row, di, [&](const ParamTerm& t) {
           grad.Add(t.param, t.coeff, coeff);
         });
       }
@@ -130,7 +139,7 @@ struct BatchGradAcc {
   double loss = 0.0;
 };
 
-/// The full-batch proximal-descent loop, against the same policy.
+/// The full-batch proximal-descent loop.
 ///
 /// The epoch is organized around the rows the examples touch, not the
 /// examples themselves. Per-example work factors by row: every example
@@ -146,14 +155,10 @@ struct BatchGradAcc {
 /// difference between one and a per-row claim count of scatter passes),
 /// and batches every softmax/log through the SIMD kernels over a packed
 /// candidate buffer. Sharding is over used rows; the shard-order fold
-/// keeps the epoch gradient bit-identical for any thread count, and both
-/// row-access policies produce bit-identical packed scores (the
-/// row-access contract), so dense and sparse fits still agree to the
-/// last bit.
-template <typename Rows>
-Result<FitStats> FitObjectLossBatchImpl(
+/// keeps the epoch gradient bit-identical for any thread count.
+Result<FitStats> FitObjectLossBatch(
     const ErmOptions& options, const std::vector<LabeledExample>& examples,
-    SlimFastModel* model, Executor* exec, const Rows& rows) {
+    SlimFastModel* model, Executor* exec, const CompiledInstance& inst) {
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
 
@@ -167,7 +172,7 @@ Result<FitStats> FitObjectLossBatchImpl(
   // Used rows in first-appearance order; their candidate domains are
   // packed back to back, so a shard of used rows owns one contiguous
   // slice of the packed buffers.
-  std::vector<int32_t> slice_of_row(static_cast<size_t>(rows.NumRows()),
+  std::vector<int32_t> slice_of_row(static_cast<size_t>(inst.num_rows()),
                                     -1);
   std::vector<int32_t> used_rows;
   for (const LabeledExample& ex : examples) {
@@ -182,8 +187,7 @@ Result<FitStats> FitObjectLossBatchImpl(
   for (int32_t s = 0; s < num_used; ++s) {
     packed_begin[static_cast<size_t>(s) + 1] =
         packed_begin[static_cast<size_t>(s)] +
-        static_cast<int64_t>(
-            rows.DomainSize(used_rows[static_cast<size_t>(s)]));
+        inst.DomainSize(used_rows[static_cast<size_t>(s)]);
   }
   const int64_t num_packed = packed_begin[static_cast<size_t>(num_used)];
   // Grouped example constants: total example weight per used row, and
@@ -222,8 +226,8 @@ Result<FitStats> FitObjectLossBatchImpl(
           const int64_t pe = packed_begin[static_cast<size_t>(range.end)];
           // 1. Scores for every used row of the shard, packed.
           for (int64_t i = range.begin; i < range.end; ++i) {
-            rows.Scores(used_rows[static_cast<size_t>(i)],
-                        probs.data() + packed_begin[static_cast<size_t>(i)]);
+            SparseScores(inst, used_rows[static_cast<size_t>(i)], w,
+                         probs.data() + packed_begin[static_cast<size_t>(i)]);
           }
           // 2. One softmax pass over the shard's packed rows.
           simd::SoftmaxRows(packed_begin.data() + range.begin,
@@ -245,12 +249,13 @@ Result<FitStats> FitObjectLossBatchImpl(
             const int32_t row = used_rows[static_cast<size_t>(i)];
             const int64_t base = packed_begin[static_cast<size_t>(i)];
             const double rw = row_weight[static_cast<size_t>(i)];
-            const size_t domain_size = rows.DomainSize(row);
+            const size_t domain_size =
+                static_cast<size_t>(inst.DomainSize(row));
             for (size_t di = 0; di < domain_size; ++di) {
               const double coeff =
                   rw * probs[static_cast<size_t>(base) + di] -
                   target_mass[static_cast<size_t>(base) + di];
-              rows.ForEachTerm(row, di, [&](const ParamTerm& t) {
+              ForEachTerm(inst, row, di, [&](const ParamTerm& t) {
                 acc.grad.Add(t.param, t.coeff, coeff);
               });
             }
@@ -295,7 +300,7 @@ Result<FitStats> FitObjectLossBatchImpl(
 }
 
 /// The accuracy log-loss SGD loop (Definition 7). Trust scores read the
-/// compiled model's sigma terms, which every row representation shares.
+/// compiled model's sigma terms.
 Result<FitStats> FitAccuracyLossSgd(
     const ErmOptions& options,
     const std::vector<ObservationExample>& examples, SlimFastModel* model,
@@ -359,24 +364,17 @@ Result<FitStats> FitAccuracyLossSgd(
 Result<FitStats> ErmLearner::FitObjectLoss(
     const std::vector<LabeledExample>& examples, SlimFastModel* model,
     Rng* rng, Executor* exec, const CompiledInstance* instance) const {
+  if (instance == nullptr) {
+    return Status::InvalidArgument("ERM requires a compiled instance");
+  }
   if (examples.empty()) {
     return Status::FailedPrecondition(
         "ERM requires at least one labeled example");
   }
   if (options_.batch) {
-    if (instance != nullptr) {
-      return FitObjectLossBatchImpl(options_, examples, model, exec,
-                                    SparseRowAccess{instance, model});
-    }
-    return FitObjectLossBatchImpl(options_, examples, model, exec,
-                                  DenseRowAccess{nullptr, model});
+    return FitObjectLossBatch(options_, examples, model, exec, *instance);
   }
-  if (instance != nullptr) {
-    return FitObjectLossSgdImpl(options_, examples, model, rng,
-                                SparseRowAccess{instance, model});
-  }
-  return FitObjectLossSgdImpl(options_, examples, model, rng,
-                              DenseRowAccess{nullptr, model});
+  return FitObjectLossSgd(options_, examples, model, rng, *instance);
 }
 
 Result<FitStats> ErmLearner::FitAccuracyLoss(
@@ -542,6 +540,9 @@ Result<FitStats> ErmLearner::Fit(const Dataset& dataset,
                                  SlimFastModel* model, Rng* rng,
                                  Executor* exec,
                                  const CompiledInstance* instance) const {
+  if (instance == nullptr) {
+    return Status::InvalidArgument("ERM requires a compiled instance");
+  }
   switch (options_.loss) {
     case ErmLoss::kObjectPosterior: {
       auto examples =

@@ -85,24 +85,22 @@ class ErmLearner {
   static std::vector<ObservationExample> ObservationExamples(
       const Dataset& dataset, const std::vector<ObjectId>& train_objects);
 
-  /// Fits `model` in place on object-posterior examples (Eq. 4 likelihood).
-  /// Batch mode shards the per-example gradient accumulation across `exec`
-  /// (null = serial; results are identical either way); SGD mode is
-  /// inherently sequential — each step reads the previous step's weights —
-  /// and always runs serially. When `instance` is non-null the gradient
-  /// walks its flat sparse ranges instead of the dense per-object vectors;
-  /// results are bit-identical either way (see core/row_access.h).
+  /// Fits `model` in place on object-posterior examples (Eq. 4 likelihood),
+  /// walking the flat CSR rows of `instance` — the compilation `model` was
+  /// built on. A null `instance` is InvalidArgument. Batch mode shards the
+  /// per-row gradient accumulation across `exec` (null = serial; results
+  /// are identical either way); SGD mode is inherently sequential — each
+  /// step reads the previous step's weights — and always runs serially.
   Result<FitStats> FitObjectLoss(const std::vector<LabeledExample>& examples,
                                  SlimFastModel* model, Rng* rng,
-                                 Executor* exec = nullptr,
-                                 const CompiledInstance* instance =
-                                     nullptr) const;
+                                 Executor* exec,
+                                 const CompiledInstance* instance) const;
 
   /// Fits `model` in place on accuracy log-loss examples (Definition 7).
-  /// Trust scores read the compiled model's sigma terms, which every row
-  /// representation shares, so `instance` does not change the fit. With
-  /// options().batch set, collapses the examples into SourceStats and
-  /// runs FitSourceStats instead of SGD (`rng` is unused — no shuffling).
+  /// Trust scores read the compiled model's sigma terms, so `instance` is
+  /// not read and may be null. With options().batch set, collapses the
+  /// examples into SourceStats and runs FitSourceStats instead of SGD
+  /// (`rng` is unused — no shuffling).
   /// Batch and SGD optimize the same objective but take different paths
   /// to it; each is bit-deterministic on its own.
   Result<FitStats> FitAccuracyLoss(
@@ -119,11 +117,11 @@ class ErmLearner {
                                   SlimFastModel* model) const;
 
   /// Convenience dispatch on options().loss building examples internally.
+  /// A null `instance` is InvalidArgument, whichever loss is selected.
   Result<FitStats> Fit(const Dataset& dataset,
                        const std::vector<ObjectId>& train_objects,
-                       SlimFastModel* model, Rng* rng,
-                       Executor* exec = nullptr,
-                       const CompiledInstance* instance = nullptr) const;
+                       SlimFastModel* model, Rng* rng, Executor* exec,
+                       const CompiledInstance* instance) const;
 
  private:
   ErmOptions options_;

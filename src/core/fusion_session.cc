@@ -40,9 +40,7 @@ Result<FusionSession> FusionSession::Create(int32_t num_sources,
         "FusionSession does not support the copying extension: delta "
         "compilation cannot maintain globally selected copy pairs");
   }
-  // The session lives on the sparse instance; the facade's warm-start
-  // switch mirrors the session-level one.
-  options.slimfast.use_sparse = true;
+  // The facade's warm-start switch mirrors the session-level one.
   options.slimfast.warm_start.enabled = options.warm_start;
 
   FusionSession session(std::move(options), std::move(features));

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "core/compilation.h"
+#include "core/compiled_instance.h"
 #include "core/erm.h"
 #include "core/model.h"
 #include "util/math.h"
@@ -66,9 +66,9 @@ Result<LassoPath> ComputeLassoPath(const Dataset& dataset,
   ModelConfig config;
   config.use_source_weights = false;
   config.use_feature_weights = true;
-  SLIMFAST_ASSIGN_OR_RETURN(CompiledModel compiled,
-                            Compile(dataset, config));
-  SlimFastModel model(std::move(compiled));
+  SLIMFAST_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledInstance> instance,
+                            CompileInstance(dataset, config));
+  SlimFastModel model(instance->model);
 
   auto examples =
       ErmLearner::ObjectExamples(dataset, model.compiled(), split.train_objects);
@@ -90,7 +90,9 @@ Result<LassoPath> ComputeLassoPath(const Dataset& dataset,
     ErmLearner learner(erm_options);
     // Warm start: the model keeps the previous penalty's weights.
     SLIMFAST_ASSIGN_OR_RETURN(FitStats stats,
-                              learner.FitObjectLoss(examples, &model, rng));
+                              learner.FitObjectLoss(examples, &model, rng,
+                                                    /*exec=*/nullptr,
+                                                    instance.get()));
     (void)stats;
 
     LassoPathPoint point;

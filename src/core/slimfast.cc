@@ -1,13 +1,11 @@
 #include "core/slimfast.h"
 
-#include "core/em.h"
-#include "core/erm.h"
-#include "core/factor_graph_compile.h"
-#include "factorgraph/gibbs.h"
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 
+#include "core/em.h"
+#include "core/erm.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "util/stopwatch.h"
@@ -29,28 +27,18 @@ int32_t WarmBudget(int32_t cold, double scale, int32_t floor) {
 Result<SlimFastFit> SlimFast::Fit(const Dataset& dataset,
                                   const TrainTestSplit& split,
                                   uint64_t seed, Executor* exec) const {
-  // Compilation: the sparse path compiles (or fetches from the
-  // process-wide cache) a CompiledInstance whose flat index ranges all
-  // learning stages walk; the legacy dense path recompiles the nested
-  // CompiledModel every time. Either way the structure is immutable and
-  // shared with the model via shared_ptr.
+  // Compilation: compile (or fetch from the process-wide cache) the
+  // CompiledInstance whose flat index ranges all learning stages walk.
+  // The structure is immutable and shared with the model via shared_ptr.
   Stopwatch compile_watch;
   std::shared_ptr<const CompiledInstance> instance;
-  std::shared_ptr<const CompiledModel> compiled;
-  if (options_.use_sparse) {
-    if (options_.use_compilation_cache) {
-      SLIMFAST_ASSIGN_OR_RETURN(instance,
-                                CompiledInstanceCache::Global().GetOrCompile(
-                                    dataset, options_.model));
-    } else {
-      SLIMFAST_ASSIGN_OR_RETURN(instance,
-                                CompileInstance(dataset, options_.model));
-    }
-    compiled = instance->model;
+  if (options_.use_compilation_cache) {
+    SLIMFAST_ASSIGN_OR_RETURN(instance,
+                              CompiledInstanceCache::Global().GetOrCompile(
+                                  dataset, options_.model));
   } else {
-    SLIMFAST_ASSIGN_OR_RETURN(CompiledModel dense,
-                              Compile(dataset, options_.model));
-    compiled = std::make_shared<const CompiledModel>(std::move(dense));
+    SLIMFAST_ASSIGN_OR_RETURN(instance,
+                              CompileInstance(dataset, options_.model));
   }
   double compile_seconds = compile_watch.ElapsedSeconds();
   if (obs::Enabled()) {
@@ -68,9 +56,11 @@ Result<SlimFastFit> SlimFast::Fit(const Dataset& dataset,
                   std::chrono::duration<double>(compile_seconds)),
         end);
   }
-  return FitWithStructure(dataset, split, seed, std::move(instance),
-                          std::move(compiled), /*warm_weights=*/nullptr,
-                          exec, compile_seconds);
+  SLIMFAST_ASSIGN_OR_RETURN(
+      SlimFastFit fit, FitCompiled(dataset, split, seed, std::move(instance),
+                                   /*warm_weights=*/nullptr, exec));
+  fit.compile_seconds = compile_seconds;
+  return fit;
 }
 
 Result<SlimFastFit> SlimFast::FitCompiled(
@@ -81,17 +71,6 @@ Result<SlimFastFit> SlimFast::FitCompiled(
     return Status::InvalidArgument("FitCompiled requires an instance");
   }
   std::shared_ptr<const CompiledModel> compiled = instance->model;
-  return FitWithStructure(dataset, split, seed, std::move(instance),
-                          std::move(compiled), warm_weights, exec,
-                          /*compile_seconds=*/0.0);
-}
-
-Result<SlimFastFit> SlimFast::FitWithStructure(
-    const Dataset& dataset, const TrainTestSplit& split, uint64_t seed,
-    std::shared_ptr<const CompiledInstance> instance,
-    std::shared_ptr<const CompiledModel> compiled,
-    const std::vector<double>* warm_weights, Executor* exec,
-    double compile_seconds) const {
   obs::TraceSpan learn_span("core.learn");
   OptimizerDecision decision;
   Algorithm algorithm = options_.algorithm;
@@ -176,8 +155,9 @@ Result<SlimFastFit> SlimFast::FitWithStructure(
     (algorithm == Algorithm::kErm ? erm_hist : em_hist)
         ->RecordSeconds(learn_seconds);
   }
-  SlimFastFit fit{std::move(model), decision, algorithm, compile_seconds,
-                  learn_seconds, std::move(instance), warm};
+  SlimFastFit fit{std::move(model), decision, algorithm,
+                  /*compile_seconds=*/0.0, learn_seconds, std::move(instance),
+                  warm};
   fit.learn_iterations = learn_iterations;
   fit.learn_converged = learn_converged;
   fit.learn_objective = learn_objective;
@@ -196,31 +176,7 @@ Result<FusionOutput> SlimFast::Run(const Dataset& dataset,
   output.method_name = name_;
   output.detail = fit.decision.ToString();
 
-  if (options_.inference == InferenceEngine::kExact) {
-    output.predicted_values = fit.model.PredictAll();
-  } else {
-    SLIMFAST_ASSIGN_OR_RETURN(
-        FactorGraphCompilation graph_compilation,
-        CompileToFactorGraph(fit.model, dataset, &split));
-    GibbsOptions gibbs_options;
-    gibbs_options.burn_in = options_.gibbs_burn_in;
-    gibbs_options.samples = options_.gibbs_samples;
-    gibbs_options.chains = options_.gibbs_chains;
-    GibbsSampler sampler(&graph_compilation.graph, gibbs_options);
-    Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
-    auto marginals = sampler.EstimateMarginals(&rng, &exec);
-    auto map = graph_compilation.graph.MapFromMarginals(marginals);
-
-    const CompiledModel& compiled = fit.model.compiled();
-    output.predicted_values.assign(
-        static_cast<size_t>(dataset.num_objects()), kNoValue);
-    for (size_t r = 0; r < compiled.objects.size(); ++r) {
-      const CompiledObject& row = compiled.objects[r];
-      int32_t di = map[static_cast<size_t>(graph_compilation.row_vars[r])];
-      output.predicted_values[static_cast<size_t>(row.object)] =
-          row.domain[static_cast<size_t>(di)];
-    }
-  }
+  output.predicted_values = fit.model.PredictAll();
   output.source_accuracies = fit.model.AllSourceAccuracies();
   if (options_.calibrate_accuracies &&
       fit.algorithm_used == Algorithm::kErm &&

@@ -13,7 +13,7 @@ namespace slimfast {
 /// Stream i is seeded with a SplitMix64 mix of (seed, i), so streams are
 /// statistically independent, a stream's seed depends only on (seed, index)
 /// — never on how many streams exist or which thread draws from it — and
-/// randomized parallel stages (multi-chain Gibbs, replica generation) stay
+/// randomized parallel stages (synthetic replica generation) stay
 /// bit-reproducible for every thread count.
 class ShardedRng {
  public:

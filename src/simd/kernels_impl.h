@@ -83,15 +83,6 @@ struct Kernels {
     }
   }
 
-  static void BatchMul(const double* a, const double* b, double* y,
-                       int64_t n) {
-    int64_t i = 0;
-    for (; i + W <= n; i += W) {
-      for (int j = 0; j < W; ++j) y[i + j] = a[i + j] * b[i + j];
-    }
-    for (; i < n; ++i) y[i] = a[i] * b[i];
-  }
-
   // prod[i] = coeff[i] * w[param[i]] — the flat score-product pass over a
   // CSR term range. The gather is memory-bound; it lives here so both
   // tables execute the identical multiply.
@@ -229,11 +220,10 @@ constexpr KernelTable MakeTable() {
   return KernelTable{
       &Kernels<W>::BatchExp,        &Kernels<W>::BatchLog,
       &Kernels<W>::BatchSigmoid,    &Kernels<W>::BatchSoftplusNeg,
-      &Kernels<W>::BatchEntropyTerms, &Kernels<W>::BatchMul,
-      &Kernels<W>::TermProducts,    &Kernels<W>::FoldRanges,
-      &Kernels<W>::SoftmaxRows,     &Kernels<W>::Sum,
-      &Kernels<W>::MaxVal,          &Kernels<W>::Dot,
-      &Kernels<W>::AdaGradProx,
+      &Kernels<W>::BatchEntropyTerms, &Kernels<W>::TermProducts,
+      &Kernels<W>::FoldRanges,      &Kernels<W>::SoftmaxRows,
+      &Kernels<W>::Sum,             &Kernels<W>::MaxVal,
+      &Kernels<W>::Dot,             &Kernels<W>::AdaGradProx,
   };
 }
 

@@ -52,7 +52,6 @@ struct KernelTable {
   void (*batch_sigmoid)(const double* x, double* y, int64_t n);
   void (*batch_softplus_neg)(const double* x, double* y, int64_t n);
   void (*batch_entropy_terms)(const double* p, double* y, int64_t n);
-  void (*batch_mul)(const double* a, const double* b, double* y, int64_t n);
   void (*term_products)(const double* coeff, const int32_t* param,
                         const double* w, double* prod, int64_t n);
   void (*fold_ranges)(const int64_t* begins, int64_t nranges, int64_t base,
@@ -115,9 +114,6 @@ inline void BatchSoftplusNeg(const double* x, double* y, int64_t n) {
 /// y[i] = p[i] > 1e-12 ? -p[i]*log(p[i]) : 0
 inline void BatchEntropyTerms(const double* p, double* y, int64_t n) {
   internal::Active().batch_entropy_terms(p, y, n);
-}
-inline void BatchMul(const double* a, const double* b, double* y, int64_t n) {
-  internal::Active().batch_mul(a, b, y, n);
 }
 /// prod[i] = coeff[i] * w[param[i]]
 inline void TermProducts(const double* coeff, const int32_t* param,

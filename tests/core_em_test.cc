@@ -20,11 +20,26 @@ namespace {
 TEST(EmTest, FailsWithoutObservations) {
   DatasetBuilder builder("empty", 1, 1, 2);
   Dataset d = std::move(builder).Build().ValueOrDie();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  SlimFastModel model(instance->model);
   EmLearner learner(EmOptions{});
   Rng rng(1);
-  EXPECT_TRUE(
-      learner.Fit(d, {}, &model, &rng).status().IsFailedPrecondition());
+  EXPECT_TRUE(learner.Fit(d, {}, &model, &rng, nullptr, instance.get())
+                  .status()
+                  .IsFailedPrecondition());
+}
+
+TEST(EmTest, RejectsNullInstance) {
+  Dataset d = testutil::MakeFigure1Dataset();
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  SlimFastModel model(instance->model);
+  const std::vector<double> before = model.weights();
+  EmLearner learner(EmOptions{});
+  Rng rng(1);
+  EXPECT_TRUE(learner.Fit(d, {0}, &model, &rng, nullptr, nullptr)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_EQ(model.weights(), before);  // no fallback fit ran
 }
 
 TEST(EmTest, UnsupervisedRecoversTruthOnDenseAccurateInstance) {
@@ -34,10 +49,12 @@ TEST(EmTest, UnsupervisedRecoversTruthOnDenseAccurateInstance) {
   Dataset d = testutil::MakePlantedDataset(accuracies, 300, 1.0, 101);
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  SlimFastModel model(instance->model);
   EmLearner learner(EmOptions{});
   Rng rng(5);
-  auto stats = learner.Fit(d, {}, &model, &rng).ValueOrDie();
+  auto stats =
+      learner.Fit(d, {}, &model, &rng, nullptr, instance.get()).ValueOrDie();
   EXPECT_GE(stats.iterations, 1);
 
   auto predictions = model.PredictAll();
@@ -53,10 +70,12 @@ TEST(EmTest, UnsupervisedSourceAccuraciesAreReasonable) {
   Dataset d = testutil::MakePlantedDataset(accuracies, 400, 1.0, 103);
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  SlimFastModel model(instance->model);
   EmLearner learner(EmOptions{});
   Rng rng(6);
-  ASSERT_TRUE(learner.Fit(d, {}, &model, &rng).ok());
+  ASSERT_TRUE(
+      learner.Fit(d, {}, &model, &rng, nullptr, instance.get()).ok());
   // Order should be respected: best sources above the weak ones.
   EXPECT_GT(model.SourceAccuracy(0), model.SourceAccuracy(2));
   EXPECT_GT(model.SourceAccuracy(1), model.SourceAccuracy(3));
@@ -74,10 +93,14 @@ TEST(EmTest, SemiSupervisedClampsTrainingLabels) {
   config.use_feature_weights = false;
   auto split = testutil::MakePrefixSplit(d, 150);
 
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  SlimFastModel model(instance->model);
   EmLearner learner(EmOptions{});
   Rng rng(8);
-  ASSERT_TRUE(learner.Fit(d, split.train_objects, &model, &rng).ok());
+  ASSERT_TRUE(learner
+                  .Fit(d, split.train_objects, &model, &rng, nullptr,
+                       instance.get())
+                  .ok());
   auto predictions = model.PredictAll();
   double test_accuracy =
       ObjectValueAccuracy(d, predictions, split.test_objects).ValueOrDie();
@@ -93,12 +116,14 @@ TEST(EmTest, SoftEmAlsoConverges) {
   Dataset d = testutil::MakePlantedDataset(accuracies, 200, 1.0, 109);
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  SlimFastModel model(instance->model);
   EmOptions options;
   options.soft = true;
   EmLearner learner(options);
   Rng rng(9);
-  auto stats = learner.Fit(d, {}, &model, &rng).ValueOrDie();
+  auto stats =
+      learner.Fit(d, {}, &model, &rng, nullptr, instance.get()).ValueOrDie();
   EXPECT_GE(stats.iterations, 1);
   auto predictions = model.PredictAll();
   double accuracy =
@@ -113,13 +138,15 @@ TEST(EmTest, InitAccuracySeedsMajorityVote) {
   Dataset d = testutil::MakePlantedDataset(accuracies, 150, 1.0, 113);
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  SlimFastModel model(instance->model);
   EmOptions options;
   options.max_iterations = 1;
   options.m_step.epochs = 0;  // E-step only: pure majority vote
   EmLearner learner(options);
   Rng rng(10);
-  ASSERT_TRUE(learner.Fit(d, {}, &model, &rng).ok());
+  ASSERT_TRUE(
+      learner.Fit(d, {}, &model, &rng, nullptr, instance.get()).ok());
   // With init logit(0.7) on every source, MAP = majority value.
   auto predictions = model.PredictAll();
   int64_t majority_matches = 0;
@@ -153,10 +180,12 @@ TEST(EmTest, DensityImprovesEmQuality) {
         testutil::MakePlantedDataset(accuracies, 500, density, 211);
     ModelConfig config;
     config.use_feature_weights = false;
-    SlimFastModel model(Compile(d, config).ValueOrDie());
+    auto instance = CompileInstance(d, config).ValueOrDie();
+    SlimFastModel model(instance->model);
     EmLearner learner(EmOptions{});
     Rng rng(3);
-    SLIMFAST_CHECK_OK(learner.Fit(d, {}, &model, &rng).status());
+    SLIMFAST_CHECK_OK(
+        learner.Fit(d, {}, &model, &rng, nullptr, instance.get()).status());
     double error = 0.0;
     int64_t count = 0;
     for (SourceId s = 0; s < d.num_sources(); ++s) {
@@ -180,19 +209,24 @@ TEST(EmTest, ExpectedNllDecreasesOrConverges) {
   ModelConfig config;
   config.use_feature_weights = false;
 
+  auto instance = CompileInstance(d, config).ValueOrDie();
+
   EmOptions few;
   few.max_iterations = 2;
-  SlimFastModel model_few(Compile(d, config).ValueOrDie());
+  SlimFastModel model_few(instance->model);
   Rng rng1(1);
-  auto stats_few =
-      EmLearner(few).Fit(d, {}, &model_few, &rng1).ValueOrDie();
+  auto stats_few = EmLearner(few)
+                       .Fit(d, {}, &model_few, &rng1, nullptr, instance.get())
+                       .ValueOrDie();
 
   EmOptions many;
   many.max_iterations = 15;
-  SlimFastModel model_many(Compile(d, config).ValueOrDie());
+  SlimFastModel model_many(instance->model);
   Rng rng2(1);
   auto stats_many =
-      EmLearner(many).Fit(d, {}, &model_many, &rng2).ValueOrDie();
+      EmLearner(many)
+          .Fit(d, {}, &model_many, &rng2, nullptr, instance.get())
+          .ValueOrDie();
 
   EXPECT_LE(stats_many.final_expected_nll,
             stats_few.final_expected_nll + 1e-6);
@@ -324,7 +358,7 @@ TEST(EmStatsTest, FitSourceStatsRejectsMismatchedOrEmptyStats) {
 }
 
 /// Hard and soft EM fit identical weights, to the bit, whatever the
-/// thread count, kernel table, or row representation.
+/// thread count or kernel table.
 TEST(EmStatsTest, HardAndSoftEmBitIdenticalAcrossThreadsAndSimd) {
   Dataset d = MakeFeaturedDataset(40, 300, 0.15, 23);
   Rng split_rng(5);
@@ -335,25 +369,24 @@ TEST(EmStatsTest, HardAndSoftEmBitIdenticalAcrossThreadsAndSimd) {
     SCOPED_TRACE(soft ? "soft" : "hard");
     EmOptions options;
     options.soft = soft;
-    auto fit = [&](int32_t threads, bool wide, bool sparse) {
+    auto fit = [&](int32_t threads, bool wide) {
       ExecOptions exec_options;
       exec_options.threads = threads;
       Executor exec(exec_options);
       simd::SetWideEnabledForTest(wide);
       SlimFastModel model(instance->model);
       Rng rng(9);
-      const CompiledInstance* rows = sparse ? instance.get() : nullptr;
       EmLearner learner(options);
       auto stats = learner.Fit(d, split.train_objects, &model, &rng, &exec,
-                               rows);
+                               instance.get());
       simd::SetWideEnabledForTest(wide_default);
       EXPECT_TRUE(stats.ok()) << stats.status();
       return model.weights();
     };
-    const std::vector<double> baseline = fit(1, wide_default, true);
-    EXPECT_EQ(fit(4, wide_default, true), baseline);
-    EXPECT_EQ(fit(1, false, true), baseline);
-    EXPECT_EQ(fit(4, false, false), baseline);
+    const std::vector<double> baseline = fit(1, wide_default);
+    EXPECT_EQ(fit(4, wide_default), baseline);
+    EXPECT_EQ(fit(1, false), baseline);
+    EXPECT_EQ(fit(4, false), baseline);
   }
 }
 

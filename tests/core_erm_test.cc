@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/compiled_instance.h"
 #include "core/erm.h"
 #include "eval/metrics.h"
 #include "test_util.h"
@@ -44,15 +45,43 @@ TEST(ErmExamplesTest, ObservationExamplesLabelCorrectness) {
 
 TEST(ErmTest, FailsWithoutExamples) {
   Dataset d = testutil::MakeFigure1Dataset();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  SlimFastModel model(instance->model);
   ErmLearner learner(ErmOptions{});
   Rng rng(1);
-  EXPECT_TRUE(learner.FitObjectLoss({}, &model, &rng)
+  EXPECT_TRUE(learner.FitObjectLoss({}, &model, &rng, nullptr, instance.get())
                   .status()
                   .IsFailedPrecondition());
   EXPECT_TRUE(learner.FitAccuracyLoss({}, &model, &rng)
                   .status()
                   .IsFailedPrecondition());
+}
+
+TEST(ErmTest, RejectsNullInstance) {
+  Dataset d = testutil::MakeFigure1Dataset();
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  SlimFastModel model(instance->model);
+  const std::vector<double> before = model.weights();
+  const std::vector<LabeledExample> examples =
+      ErmLearner::ObjectExamples(d, *instance->model, {0, 1});
+  ASSERT_FALSE(examples.empty());
+  for (ErmLoss loss : {ErmLoss::kObjectPosterior, ErmLoss::kAccuracyLogLoss}) {
+    for (bool batch : {false, true}) {
+      ErmOptions options;
+      options.loss = loss;
+      options.batch = batch;
+      ErmLearner learner(options);
+      Rng rng(1);
+      EXPECT_TRUE(learner.Fit(d, {0, 1}, &model, &rng, nullptr, nullptr)
+                      .status()
+                      .IsInvalidArgument());
+      EXPECT_TRUE(
+          learner.FitObjectLoss(examples, &model, &rng, nullptr, nullptr)
+              .status()
+              .IsInvalidArgument());
+    }
+  }
+  EXPECT_EQ(model.weights(), before);  // no fallback fit ran
 }
 
 TEST(ErmTest, LearnsToSeparateGoodFromBadSources) {
@@ -63,11 +92,13 @@ TEST(ErmTest, LearnsToSeparateGoodFromBadSources) {
 
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  SlimFastModel model(instance->model);
   ErmLearner learner(ErmOptions{});
   Rng rng(7);
   auto split = testutil::MakePrefixSplit(d, 150);
-  auto stats = learner.Fit(d, split.train_objects, &model, &rng);
+  auto stats = learner.Fit(d, split.train_objects, &model, &rng, nullptr,
+                           instance.get());
   ASSERT_TRUE(stats.ok()) << stats.status();
 
   // Note: the object-posterior loss is discriminative — once the labeled
@@ -93,11 +124,15 @@ TEST(ErmTest, PredictionsBeatMajorityOnAdversarialInstance) {
 
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  SlimFastModel model(instance->model);
   ErmLearner learner(ErmOptions{});
   Rng rng(3);
   auto split = testutil::MakePrefixSplit(d, 80);
-  ASSERT_TRUE(learner.Fit(d, split.train_objects, &model, &rng).ok());
+  ASSERT_TRUE(learner
+                  .Fit(d, split.train_objects, &model, &rng, nullptr,
+                       instance.get())
+                  .ok());
 
   auto predictions = model.PredictAll();
   double accuracy =
@@ -112,14 +147,18 @@ TEST(ErmTest, AccuracyLossRecoverEmpiricalRates) {
   Dataset d = testutil::MakePlantedDataset(accuracies, 500, 1.0, 19);
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  SlimFastModel model(instance->model);
   ErmOptions options;
   options.loss = ErmLoss::kAccuracyLogLoss;
   options.epochs = 100;
   ErmLearner learner(options);
   Rng rng(5);
   auto split = testutil::MakePrefixSplit(d, 400);
-  ASSERT_TRUE(learner.Fit(d, split.train_objects, &model, &rng).ok());
+  ASSERT_TRUE(learner
+                  .Fit(d, split.train_objects, &model, &rng, nullptr,
+                       instance.get())
+                  .ok());
   for (SourceId s = 0; s < 3; ++s) {
     double empirical = d.EmpiricalSourceAccuracy(s).ValueOrDie();
     EXPECT_NEAR(model.SourceAccuracy(s), empirical, 0.08) << s;
@@ -133,22 +172,25 @@ TEST(ErmTest, BatchAndSgdAgreeOnPredictions) {
   config.use_feature_weights = false;
   auto split = testutil::MakePrefixSplit(d, 100);
 
-  SlimFastModel sgd_model(Compile(d, config).ValueOrDie());
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  SlimFastModel sgd_model(instance->model);
   ErmOptions sgd_options;
   sgd_options.epochs = 80;
   Rng rng1(1);
   ASSERT_TRUE(ErmLearner(sgd_options)
-                  .Fit(d, split.train_objects, &sgd_model, &rng1)
+                  .Fit(d, split.train_objects, &sgd_model, &rng1, nullptr,
+                       instance.get())
                   .ok());
 
-  SlimFastModel batch_model(Compile(d, config).ValueOrDie());
+  SlimFastModel batch_model(instance->model);
   ErmOptions batch_options;
   batch_options.batch = true;
   batch_options.epochs = 600;
   batch_options.learning_rate = 2.0;
   Rng rng2(2);
   ASSERT_TRUE(ErmLearner(batch_options)
-                  .Fit(d, split.train_objects, &batch_model, &rng2)
+                  .Fit(d, split.train_objects, &batch_model, &rng2, nullptr,
+                       instance.get())
                   .ok());
 
   auto p1 = sgd_model.PredictAll();
@@ -177,7 +219,8 @@ TEST(ErmTest, L1ZeroesFeatureWeightsOnly) {
   }
   Dataset d = std::move(builder).Build().ValueOrDie();
 
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  SlimFastModel model(instance->model);
   ErmOptions options;
   options.batch = true;
   options.epochs = 300;
@@ -185,7 +228,10 @@ TEST(ErmTest, L1ZeroesFeatureWeightsOnly) {
   ErmLearner learner(options);
   Rng rng(3);
   auto split = testutil::MakePrefixSplit(d, 40);
-  ASSERT_TRUE(learner.Fit(d, split.train_objects, &model, &rng).ok());
+  ASSERT_TRUE(learner
+                  .Fit(d, split.train_objects, &model, &rng, nullptr,
+                       instance.get())
+                  .ok());
 
   const ParamLayout& layout = model.layout();
   EXPECT_DOUBLE_EQ(
@@ -207,7 +253,8 @@ TEST(ErmTest, WeightedExamplesShiftTheFit) {
   Dataset d = std::move(builder).Build().ValueOrDie();
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  SlimFastModel model(instance->model);
 
   std::vector<LabeledExample> examples = {
       LabeledExample{0, 0, 0.9},  // value 0, heavy
@@ -217,7 +264,9 @@ TEST(ErmTest, WeightedExamplesShiftTheFit) {
   options.epochs = 200;
   ErmLearner learner(options);
   Rng rng(9);
-  ASSERT_TRUE(learner.FitObjectLoss(examples, &model, &rng).ok());
+  ASSERT_TRUE(
+      learner.FitObjectLoss(examples, &model, &rng, nullptr, instance.get())
+          .ok());
   std::vector<double> probs;
   ASSERT_TRUE(model.PosteriorOf(0, &probs));
   EXPECT_GT(probs[0], probs[1]);
@@ -228,7 +277,8 @@ TEST(ErmTest, ConvergenceStopsEarly) {
   Dataset d = testutil::MakePlantedDataset({0.9, 0.8, 0.7}, 50, 1.0, 2);
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  SlimFastModel model(instance->model);
   ErmOptions options;
   options.epochs = 5000;
   options.tolerance = 1e-3;
@@ -237,7 +287,8 @@ TEST(ErmTest, ConvergenceStopsEarly) {
   Rng rng(4);
   auto split = testutil::MakePrefixSplit(d, 30);
   auto stats =
-      learner.Fit(d, split.train_objects, &model, &rng).ValueOrDie();
+      learner.Fit(d, split.train_objects, &model, &rng, nullptr, instance.get())
+          .ValueOrDie();
   EXPECT_TRUE(stats.converged);
   EXPECT_LT(stats.epochs, 5000);
 }
@@ -251,11 +302,15 @@ TEST_P(ErmSampleSizeSweep, MoreLabelsNeverMuchWorse) {
   Dataset d = testutil::MakePlantedDataset(accuracies, 600, 0.5, 77);
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  SlimFastModel model(instance->model);
   ErmLearner learner(ErmOptions{});
   Rng rng(GetParam());
   auto split = testutil::MakePrefixSplit(d, GetParam());
-  ASSERT_TRUE(learner.Fit(d, split.train_objects, &model, &rng).ok());
+  ASSERT_TRUE(learner
+                  .Fit(d, split.train_objects, &model, &rng, nullptr,
+                       instance.get())
+                  .ok());
   // Source-accuracy estimation error should be modest once |G| >= 100.
   double error_sum = 0.0;
   for (SourceId s = 0; s < 10; ++s) {

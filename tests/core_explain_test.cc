@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/compiled_instance.h"
 #include "core/erm.h"
 #include "core/explain.h"
 #include "test_util.h"
@@ -146,11 +147,15 @@ TEST(ExplainIntegrationTest, TrainedModelExplainsSensibly) {
   Dataset d = testutil::MakePlantedDataset(accuracies, 300, 1.0, 777);
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  SlimFastModel model(instance->model);
   ErmLearner learner(ErmOptions{});
   Rng rng(5);
   auto split = testutil::MakePrefixSplit(d, 200);
-  ASSERT_TRUE(learner.Fit(d, split.train_objects, &model, &rng).ok());
+  ASSERT_TRUE(learner
+                  .Fit(d, split.train_objects, &model, &rng, nullptr,
+                       instance.get())
+                  .ok());
 
   ObjectId target = split.test_objects.front();
   auto explanation = ExplainObject(model, d, target).ValueOrDie();

@@ -80,6 +80,9 @@ TEST(CompiledInstanceTest, FlattensCompiledModelExactly) {
   }
 }
 
+/// The flat CSR rows the learners walk and the nested rows that
+/// PredictAll, snapshots and explain read must score every candidate to
+/// the same bits; this is the one check that ties the two forms together.
 TEST(CompiledInstanceTest, SparsePosteriorMatchesDenseBitwise) {
   const std::vector<double> planted = {0.85, 0.7, 0.65};
   Dataset dataset = MakePlantedDataset(planted, 30, 0.6, 5, 3);

@@ -157,35 +157,10 @@ TEST(DeterminismTest, Threads1VsThreads4BitIdenticalBatchErm) {
   ExpectSameFusionOutput(first, second);
 }
 
-/// Same contract for multi-chain Gibbs inference: 4 chains averaged in
-/// chain order give bit-identical marginals (and hence predictions) on 1
-/// and 4 threads.
-TEST(DeterminismTest, Threads1VsThreads4BitIdenticalGibbsChains) {
-  const std::vector<double> planted = {0.9, 0.8, 0.7, 0.85};
-  Dataset dataset = MakePlantedDataset(planted, 80, 0.5, 13);
-  Rng rng(9);
-  TrainTestSplit split = MakeSplit(dataset, 0.2, &rng).ValueOrDie();
-  SlimFastOptions serial;
-  serial.inference = InferenceEngine::kGibbs;
-  serial.gibbs_chains = 4;
-  serial.gibbs_burn_in = 10;
-  serial.gibbs_samples = 40;
-  serial.exec.threads = 1;
-  SlimFastOptions parallel = serial;
-  parallel.exec.threads = 4;
-  auto first = MakeSlimFast(serial)->Run(dataset, split, 55).ValueOrDie();
-  auto second = MakeSlimFast(parallel)->Run(dataset, split, 55).ValueOrDie();
-  ExpectSameFusionOutput(first, second);
-}
-
-/// The representation contract, end to end: the sparse path (columnar
-/// ObservationStore + CompiledInstance flat ranges, the default) and the
-/// legacy dense path (nested per-object vectors) produce bit-identical
-/// FusionOutput for every preset, at 1 and at 4 threads, with and without
-/// the compilation cache. Both paths walk the same elements in the same
-/// order (core/row_access.h), so representation must never leak into
-/// results.
-TEST(DeterminismTest, SparseVsDenseBitIdenticalAllPresets) {
+/// The compilation cache never leaks into results: a fit on a freshly
+/// compiled instance and one on the process-wide cached instance produce
+/// bit-identical FusionOutput for every preset, at 1 and at 4 threads.
+TEST(DeterminismTest, CacheOnVsOffBitIdenticalAllPresets) {
   const std::vector<double> planted = {0.9, 0.8, 0.7, 0.85, 0.75, 0.65};
   std::vector<std::pair<std::string, Dataset>> datasets;
   datasets.emplace_back("figure1", testutil::MakeFigure1Dataset());
@@ -198,62 +173,18 @@ TEST(DeterminismTest, SparseVsDenseBitIdenticalAllPresets) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       for (const auto& preset : AllSlimFastPresets()) {
         SCOPED_TRACE(preset.name);
-        SlimFastOptions dense;
-        dense.use_sparse = false;
-        dense.exec.threads = threads;
-        SlimFastOptions sparse = dense;
-        sparse.use_sparse = true;
-        sparse.use_compilation_cache = false;
-        SlimFastOptions cached = sparse;
+        SlimFastOptions uncached;
+        uncached.use_compilation_cache = false;
+        uncached.exec.threads = threads;
+        SlimFastOptions cached = uncached;
         cached.use_compilation_cache = true;
-        auto dense_out =
-            preset.make_with(dense)->Run(dataset, split, 123).ValueOrDie();
-        auto sparse_out =
-            preset.make_with(sparse)->Run(dataset, split, 123).ValueOrDie();
+        auto uncached_out =
+            preset.make_with(uncached)->Run(dataset, split, 123).ValueOrDie();
         auto cached_out =
             preset.make_with(cached)->Run(dataset, split, 123).ValueOrDie();
-        ExpectSameFusionOutput(dense_out, sparse_out);
-        ExpectSameFusionOutput(dense_out, cached_out);
+        ExpectSameFusionOutput(uncached_out, cached_out);
       }
     }
-  }
-}
-
-/// Same contract for the sharded batch-ERM gradient (the presets above
-/// run SGD mode) and for Gibbs inference over a sparse-compiled fit.
-TEST(DeterminismTest, SparseVsDenseBitIdenticalBatchErmAndGibbs) {
-  const std::vector<double> planted = {0.9, 0.8, 0.7, 0.6, 0.85};
-  Dataset dataset = MakePlantedDataset(planted, 120, 0.5, 41);
-  Rng rng(6);
-  TrainTestSplit split = MakeSplit(dataset, 0.2, &rng).ValueOrDie();
-  for (int32_t threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    SlimFastOptions dense;
-    dense.use_sparse = false;
-    dense.erm.batch = true;
-    dense.exec.threads = threads;
-    SlimFastOptions sparse = dense;
-    sparse.use_sparse = true;
-    auto dense_out =
-        MakeSlimFastErm(dense)->Run(dataset, split, 77).ValueOrDie();
-    auto sparse_out =
-        MakeSlimFastErm(sparse)->Run(dataset, split, 77).ValueOrDie();
-    ExpectSameFusionOutput(dense_out, sparse_out);
-
-    SlimFastOptions dense_gibbs;
-    dense_gibbs.use_sparse = false;
-    dense_gibbs.inference = InferenceEngine::kGibbs;
-    dense_gibbs.gibbs_chains = 2;
-    dense_gibbs.gibbs_burn_in = 10;
-    dense_gibbs.gibbs_samples = 40;
-    dense_gibbs.exec.threads = threads;
-    SlimFastOptions sparse_gibbs = dense_gibbs;
-    sparse_gibbs.use_sparse = true;
-    auto dense_gibbs_out =
-        MakeSlimFast(dense_gibbs)->Run(dataset, split, 55).ValueOrDie();
-    auto sparse_gibbs_out =
-        MakeSlimFast(sparse_gibbs)->Run(dataset, split, 55).ValueOrDie();
-    ExpectSameFusionOutput(dense_gibbs_out, sparse_gibbs_out);
   }
 }
 

@@ -1,7 +1,7 @@
 // The exec layer's contracts: fixed static sharding, bit-identical
 // deterministic reductions for every thread count, exception propagation,
 // and seed-stable sharded random streams. These are the guarantees every
-// parallel hot path (ERM, EM, Gibbs, synth, eval grid) builds on.
+// parallel hot path (ERM, EM, delta compile, synth, eval grid) builds on.
 
 #include <gtest/gtest.h>
 

@@ -35,8 +35,8 @@
 //                         chrome://tracing JSON timeline to FILE on exit
 //
 // The `bench` subcommand runs the Table-5-style runtime scenario (synthetic
-// generation, compilation cold vs cached, dense vs sparse ERM + EM
-// learning, multi-chain Gibbs marginals at 1 and N threads, the eval grid,
+// generation, compilation cold vs cached, ERM + EM learning, SIMD wide
+// vs scalar learners with a per-core scaling curve, the eval grid,
 // incremental delta-compilation vs full recompiles, and warm vs cold
 // relearning) and writes per-phase seconds as BENCH_runtime.json (override
 // with --out). --quick shrinks the scenario to CI size; the JSON schema is
@@ -75,18 +75,19 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "baselines/registry.h"
 #include "bench_common.h"
 #include "core/explain.h"
-#include "core/factor_graph_compile.h"
 #include "core/fusion_session.h"
 #include "core/slimfast.h"
 #include "core/streaming.h"
@@ -95,7 +96,6 @@
 #include "eval/harness.h"
 #include "eval/metrics.h"
 #include "exec/parallel.h"
-#include "factorgraph/gibbs.h"
 #include "obs/event_log.h"
 #include "obs/trace.h"
 #include "serve/fusion_service.h"
@@ -210,6 +210,19 @@ bool UsageError(const std::string& message) {
                "slimfast_cli: %s (run 'slimfast_cli --help' for usage)\n",
                message.c_str());
   return false;
+}
+
+/// Parses the whole of `text` as a T with std::from_chars. Trailing
+/// characters, an empty token, or a value outside T's range are a usage
+/// error naming `flag`.
+template <typename T>
+bool ParseNumber(const std::string& flag, const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  if (ec == std::errc() && ptr == end && ptr != text) return true;
+  return UsageError("option '" + flag + "' expects " +
+                    (std::is_integral_v<T> ? "an integer" : "a number") +
+                    " in range, got '" + text + "'");
 }
 
 void PrintUsage(std::FILE* stream) {
@@ -379,19 +392,20 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       return *out != nullptr ||
              UsageError("option '" + arg + "' requires a value");
     };
+    auto number_of = [&](auto* out) {
+      const char* text = nullptr;
+      return value_of(&text) && ParseNumber(arg, text, out);
+    };
     const char* v = nullptr;
     if (arg == "--method") {
       if (!value_of(&v)) return false;
       options->method = v;
     } else if (arg == "--train-fraction") {
-      if (!value_of(&v)) return false;
-      options->train_fraction = std::atof(v);
+      if (!number_of(&options->train_fraction)) return false;
     } else if (arg == "--seed") {
-      if (!value_of(&v)) return false;
-      options->seed = static_cast<uint64_t>(std::atoll(v));
+      if (!number_of(&options->seed)) return false;
     } else if (arg == "--explain") {
-      if (!value_of(&v)) return false;
-      options->explain = std::atoi(v);
+      if (!number_of(&options->explain)) return false;
     } else if (arg == "--out") {
       if (!value_of(&v)) return false;
       options->out_file = v;
@@ -399,22 +413,17 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       if (!value_of(&v)) return false;
       options->demo = v;
     } else if (arg == "--threads") {
-      if (!value_of(&v)) return false;
-      options->threads = std::atoi(v);
+      if (!number_of(&options->threads)) return false;
     } else if (arg == "--quick") {
       options->quick = true;
     } else if (arg == "--chunks") {
-      if (!value_of(&v)) return false;
-      options->chunks = std::atoi(v);
+      if (!number_of(&options->chunks)) return false;
     } else if (arg == "--shards") {
-      if (!value_of(&v)) return false;
-      options->shards = std::atoi(v);
+      if (!number_of(&options->shards)) return false;
     } else if (arg == "--readers") {
-      if (!value_of(&v)) return false;
-      options->readers = std::atoi(v);
+      if (!number_of(&options->readers)) return false;
     } else if (arg == "--relearn-every") {
-      if (!value_of(&v)) return false;
-      options->relearn_every = std::atoi(v);
+      if (!number_of(&options->relearn_every)) return false;
     } else if (arg == "--dims") {
       const char* s = next();
       const char* o = next();
@@ -422,52 +431,44 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       if (s == nullptr || o == nullptr || d == nullptr) {
         return UsageError("option '--dims' requires three values: S O V");
       }
-      options->dim_sources = std::atoi(s);
-      options->dim_objects = std::atoi(o);
-      options->dim_values = std::atoi(d);
+      if (!ParseNumber(arg, s, &options->dim_sources) ||
+          !ParseNumber(arg, o, &options->dim_objects) ||
+          !ParseNumber(arg, d, &options->dim_values)) {
+        return false;
+      }
     } else if (arg == "--preload") {
       options->preload = true;
     } else if (arg == "--wal-dir") {
       if (!value_of(&v)) return false;
       options->wal_dir = v;
     } else if (arg == "--fsync-every") {
-      if (!value_of(&v)) return false;
-      options->fsync_every = std::atoi(v);
+      if (!number_of(&options->fsync_every)) return false;
     } else if (arg == "--trace-out") {
       if (!value_of(&v)) return false;
       options->trace_out = v;
     } else if (arg == "--sched") {
       options->sched = true;
     } else if (arg == "--sched-warm-budget") {
-      if (!value_of(&v)) return false;
-      options->sched_warm_budget = std::atoi(v);
+      if (!number_of(&options->sched_warm_budget)) return false;
     } else if (arg == "--sched-cold-budget") {
-      if (!value_of(&v)) return false;
-      options->sched_cold_budget = std::atoi(v);
+      if (!number_of(&options->sched_cold_budget)) return false;
     } else if (arg == "--sched-max-defer") {
-      if (!value_of(&v)) return false;
-      options->sched_max_defer = std::atoi(v);
+      if (!number_of(&options->sched_max_defer)) return false;
     } else if (arg == "--shed-queue-watermark") {
-      if (!value_of(&v)) return false;
-      options->shed_queue_watermark = std::atof(v);
+      if (!number_of(&options->shed_queue_watermark)) return false;
     } else if (arg == "--shed-backlog") {
-      if (!value_of(&v)) return false;
-      options->shed_backlog = std::atoll(v);
+      if (!number_of(&options->shed_backlog)) return false;
     } else if (arg == "--event-log") {
       if (!value_of(&v)) return false;
       options->event_log = v;
     } else if (arg == "--slo-query-p99") {
-      if (!value_of(&v)) return false;
-      options->slo_query_p99 = std::atof(v);
+      if (!number_of(&options->slo_query_p99)) return false;
     } else if (arg == "--slo-staleness") {
-      if (!value_of(&v)) return false;
-      options->slo_staleness = std::atof(v);
+      if (!number_of(&options->slo_staleness)) return false;
     } else if (arg == "--slo-stall") {
-      if (!value_of(&v)) return false;
-      options->slo_stall = std::atof(v);
+      if (!number_of(&options->slo_stall)) return false;
     } else if (arg == "--slo-queue") {
-      if (!value_of(&v)) return false;
-      options->slo_queue = std::atof(v);
+      if (!number_of(&options->slo_queue)) return false;
     } else if (arg == "--no-verify") {
       options->no_verify = true;
     } else if (arg == "--stats") {
@@ -759,18 +760,13 @@ int RunReplay(const CliOptions& options) {
 ///                      sparse structure + columnar ObservationStore)
 ///   compile_cached     the same lookup served by CompiledInstanceCache —
 ///                      the cost every re-fit pays after the first
-///   learn_erm_batch    batch ERM, legacy dense representation
-///   learn_erm_sparse   batch ERM over the CompiledInstance flat ranges
-///   learn_em           hard EM (M-step on per-source statistics),
-///                      legacy dense representation
-///   learn_em_sparse    the same EM over the CompiledInstance flat ranges
+///   learn_erm_batch    batch ERM over the CompiledInstance flat ranges
+///   learn_em           hard EM (M-step on per-source statistics)
 ///   learn_em_simd      soft EM over the flat ranges with the wide SIMD
 ///                      kernel table, vs the same fit forced scalar —
 ///                      outputs bit-identical (the lane-stable contract)
 ///   learn_erm_simd     batch accuracy-log-loss ERM, wide vs scalar,
 ///                      same bitwise cross-check
-///   gibbs_marginals    4-chain Gibbs marginals, at 1 thread and at the
-///                      requested budget — the speedup the exec layer buys
 ///   eval_grid          parallel method×fraction sweep (src/eval)
 ///   ingest_delta       incremental ingest in 4 chunks: store splice +
 ///                      DeltaCompile of the touched rows, vs recompiling
@@ -778,10 +774,10 @@ int RunReplay(const CliOptions& options) {
 ///   relearn_warm       warm-started refinement from the previous weight
 ///                      vector, vs the cold-start learning schedule
 ///
-/// Dense-vs-sparse, serial-vs-parallel, SIMD-vs-scalar, and
-/// delta-vs-full runs are cross-checked for bit-identical output (the
-/// representation, exec determinism, lane-stable SIMD, and
-/// delta-maintenance contracts); the bench fails on any mismatch. The
+/// Serial-vs-parallel, SIMD-vs-scalar, and delta-vs-full runs are
+/// cross-checked for bit-identical output (the exec determinism,
+/// lane-stable SIMD, and delta-maintenance contracts); the bench fails on
+/// any mismatch. The
 /// JSON additionally records a per-core scaling curve — the learn_em_simd
 /// fit re-timed at every thread count 1..HardwareCores() — under the
 /// top-level "scaling" key.
@@ -789,7 +785,6 @@ int RunBench(const CliOptions& options) {
   ExecOptions exec_options;
   exec_options.threads = options.threads;
   Executor parallel(exec_options);
-  Executor serial;  // 1 thread, same shard structure
   const int32_t threads = parallel.threads();
   const bool quick = options.quick;
 
@@ -854,84 +849,42 @@ int RunBench(const CliOptions& options) {
   std::printf("  compile            %7.3fs cold, %.6fs cached (%.0fx)\n",
               compile_seconds, compile_cached_seconds, compile_speedup);
 
-  // --- Phases 3+4: dense vs sparse ERM and EM. ---
-  // Same seed, same split, same thread budget; only the representation
-  // differs. The recorded seconds are the *learning* stage only
-  // (FusionOutput::learn_seconds — the ERM epochs / EM iterations this
-  // phase exists to compare); compilation is measured by the compile
-  // phases above, and the sparse run bypasses the cache so neither side
-  // gets structure for free. Outputs must be bit-identical (the
-  // row-access contract).
-  auto learn_phase = [&](const char* dense_name, const char* sparse_name,
-                         bool batch_erm,
-                         auto&& make_method) -> int {
-    SlimFastOptions dense_options;
-    dense_options.exec.threads = threads;
-    dense_options.use_sparse = false;
-    dense_options.erm.batch = batch_erm;
+  // --- Phases 3+4: ERM and EM learning. ---
+  // Same seed, same split, same thread budget. The recorded seconds are
+  // the *learning* stage only (FusionOutput::learn_seconds — the ERM
+  // epochs / EM iterations); compilation is measured by the compile
+  // phases above.
+  auto learn_phase = [&](const char* name, bool batch_erm,
+                         auto&& make_method) {
+    SlimFastOptions learn_options;
+    learn_options.exec.threads = threads;
+    learn_options.erm.batch = batch_erm;
     if (batch_erm) {
       // Pin the epoch count so the phase measures steady per-epoch cost
       // instead of when early convergence happens to trigger.
-      dense_options.erm.tolerance = 0.0;
-      dense_options.erm.epochs = quick ? 30 : 60;
+      learn_options.erm.tolerance = 0.0;
+      learn_options.erm.epochs = quick ? 30 : 60;
     }
-    auto dense_method = make_method(dense_options);
-    SlimFastOptions sparse_options = dense_options;
-    sparse_options.use_sparse = true;
-    sparse_options.use_compilation_cache = false;
-    auto sparse_method = make_method(sparse_options);
+    auto method = make_method(learn_options);
     // Sub-10ms phases (batch ERM) drown in scheduler noise on one
     // measurement; min-of-reps is the standard low-noise estimator.
     const int reps = batch_erm ? 5 : 1;
-    FusionOutput dense_output;
-    FusionOutput sparse_output;
-    double dense_seconds = 0.0;
-    double sparse_seconds = 0.0;
+    double seconds = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
-      dense_output =
-          dense_method->Run(dataset, split, options.seed).ValueOrDie();
-      sparse_output =
-          sparse_method->Run(dataset, split, options.seed).ValueOrDie();
-      if (rep == 0 || dense_output.learn_seconds < dense_seconds) {
-        dense_seconds = dense_output.learn_seconds;
-      }
-      if (rep == 0 || sparse_output.learn_seconds < sparse_seconds) {
-        sparse_seconds = sparse_output.learn_seconds;
-      }
+      const double learn_seconds =
+          method->Run(dataset, split, options.seed).ValueOrDie().learn_seconds;
+      if (rep == 0 || learn_seconds < seconds) seconds = learn_seconds;
     }
-    if (sparse_output.predicted_values != dense_output.predicted_values ||
-        sparse_output.source_accuracies != dense_output.source_accuracies) {
-      std::fprintf(stderr,
-                   "bench: %s and %s outputs differ (representation "
-                   "contract violated)\n",
-                   dense_name, sparse_name);
-      return 1;
-    }
-    double speedup =
-        sparse_seconds > 0.0 ? dense_seconds / sparse_seconds : 0.0;
-    reporter.AddPhase(dense_name, dense_seconds, threads);
-    reporter.AddPhase(sparse_name, sparse_seconds, threads);
-    reporter.AddSpeedup(std::string(sparse_name) + "_vs_dense", threads,
-                        threads, speedup);
-    std::printf("  %-18s %7.3fs dense, %7.3fs sparse (%.2fx learn-only, "
-                "bit-identical)\n",
-                dense_name, dense_seconds, sparse_seconds, speedup);
-    return 0;
+    reporter.AddPhase(name, seconds, threads);
+    std::printf("  %-18s %7.3fs learn-only\n", name, seconds);
   };
+  learn_phase("learn_erm_batch", /*batch_erm=*/true,
+              [](SlimFastOptions o) { return MakeSlimFastErm(o); });
+  learn_phase("learn_em", /*batch_erm=*/false,
+              [](SlimFastOptions o) { return MakeSlimFastEm(o); });
 
-  if (learn_phase("learn_erm_batch", "learn_erm_sparse", /*batch_erm=*/true,
-                  [](SlimFastOptions o) { return MakeSlimFastErm(o); }) !=
-      0) {
-    return 1;
-  }
-  if (learn_phase("learn_em", "learn_em_sparse", /*batch_erm=*/false,
-                  [](SlimFastOptions o) { return MakeSlimFastEm(o); }) != 0) {
-    return 1;
-  }
-
-  // --- Phase 4b: SIMD wide vs scalar on the vectorized learners. ---
-  // Same sparse representation, same seed; the only variable is the
-  // kernel table the simd layer dispatches to. The wide and scalar
+  // --- Phase 5: SIMD wide vs scalar on the vectorized learners. ---
+  // Same seed; the only variable is the kernel table the simd layer dispatches to. The wide and scalar
   // tables are width-8 and width-1 instantiations of one template with a
   // lane-stable reduction, so the outputs must be bit-identical — the
   // bench fails (non-zero exit) on any divergence, making the SIMD
@@ -954,7 +907,6 @@ int RunBench(const CliOptions& options) {
   auto make_em_simd_options = [&](int32_t phase_threads) {
     SlimFastOptions o;
     o.exec.threads = phase_threads;
-    o.use_sparse = true;
     o.use_compilation_cache = false;
     o.em.soft = true;
     // Pin the iteration budget so the phase measures steady per-sweep
@@ -1010,7 +962,6 @@ int RunBench(const CliOptions& options) {
   if (simd_phase("learn_erm_simd", [&] {
         SlimFastOptions o;
         o.exec.threads = threads;
-        o.use_sparse = true;
         o.use_compilation_cache = false;
         o.erm.loss = ErmLoss::kAccuracyLogLoss;
         o.erm.batch = true;
@@ -1051,67 +1002,6 @@ int RunBench(const CliOptions& options) {
       std::printf("  scaling            %7.3fs learn @%d thread(s)\n",
                   out.learn_seconds, t);
     }
-  }
-
-  // --- Phase 5: multi-chain Gibbs marginals, serial vs parallel. ---
-  SlimFastOptions fit_options;
-  fit_options.exec.threads = threads;
-  SlimFast fitter(fit_options, "bench-fitter");
-  SlimFastFit fit =
-      fitter.Fit(dataset, split, options.seed, &parallel).ValueOrDie();
-  FactorGraphCompilation compilation =
-      CompileToFactorGraph(fit.model, dataset, &split).ValueOrDie();
-  GibbsOptions gibbs_options;
-  gibbs_options.burn_in = quick ? 10 : 20;
-  gibbs_options.samples = quick ? 40 : 80;
-  gibbs_options.chains = 4;
-  GibbsSampler sampler(&compilation.graph, gibbs_options);
-
-  Rng gibbs_rng_serial(options.seed);
-  std::vector<std::vector<double>> marginals_serial;
-  double gibbs_serial_seconds = bench::TimeSeconds([&] {
-    marginals_serial = sampler.EstimateMarginals(&gibbs_rng_serial, &serial);
-  });
-  Rng gibbs_rng_parallel(options.seed);
-  std::vector<std::vector<double>> marginals_parallel;
-  double gibbs_parallel_seconds = bench::TimeSeconds([&] {
-    marginals_parallel =
-        sampler.EstimateMarginals(&gibbs_rng_parallel, &parallel);
-  });
-  if (marginals_serial != marginals_parallel) {
-    std::fprintf(stderr,
-                 "bench: Gibbs marginals differ between 1 and %d threads "
-                 "(determinism contract violated)\n",
-                 threads);
-    return 1;
-  }
-  if (threads > bench::BenchReporter::HardwareCores()) {
-    std::printf("  note: %d threads on %d hardware core(s); wall-clock "
-                "speedup is capped by the hardware\n",
-                threads, bench::BenchReporter::HardwareCores());
-  }
-  reporter.AddPhase("gibbs_marginals", gibbs_serial_seconds, 1);
-  reporter.AddPhase("gibbs_marginals", gibbs_parallel_seconds, threads);
-  // On a single hardware core the serial/parallel wall-clock ratio is
-  // scheduler noise, not a speedup; record that the bit-identity
-  // cross-check above passed instead of a fake ~1.0x number. The schema
-  // checker enforces this choice against the run's "cores" value.
-  if (bench::BenchReporter::HardwareCores() > 1) {
-    double gibbs_speedup =
-        gibbs_parallel_seconds > 0.0
-            ? gibbs_serial_seconds / gibbs_parallel_seconds
-            : 0.0;
-    reporter.AddSpeedup("gibbs_marginals", 1, threads, gibbs_speedup);
-    std::printf("  gibbs_marginals    %7.3fs @1 thread, %7.3fs @%d threads "
-                "(%.2fx, bit-identical)\n",
-                gibbs_serial_seconds, gibbs_parallel_seconds, threads,
-                gibbs_speedup);
-  } else {
-    reporter.AddBitIdentity("gibbs_marginals", 1, threads);
-    std::printf("  gibbs_marginals    %7.3fs @1 thread, %7.3fs @%d threads "
-                "(single core: bit-identity verified, no speedup "
-                "recorded)\n",
-                gibbs_serial_seconds, gibbs_parallel_seconds, threads);
   }
 
   // --- Phase 6: parallel eval grid. ---

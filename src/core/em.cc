@@ -224,7 +224,6 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
     clamped_stats.Add(ex.source, ex.label, ex.weight);
   }
 
-  ErmLearner m_step(options_.m_step);
   ConvergenceTracker tracker(options_.tolerance, options_.patience);
 
   // A warm-started run refines on its own (shorter) budget; cold runs —
@@ -234,6 +233,19 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
       (warm_start && options_.warm_max_iterations > 0)
           ? options_.warm_max_iterations
           : options_.max_iterations;
+  // The E-step's work for the exec minimum-work rule: every compiled term
+  // is scored and every claim emitted once per pass.
+  const int64_t estep_work = static_cast<int64_t>(
+      instance.term_param.size() + instance.claim_sources.size());
+
+  // Hard EM's fixed point. The M-step sees the E-step only through the
+  // per-source sums, so an E-step whose sums equal the previous one's
+  // hands it the same convex problem again. That M-step is run to its own
+  // tolerance (capped at the epochs the remaining rounds would have
+  // spent); if the next E-step repeats the sums once more, its weights
+  // are the fixed point and EM stops.
+  SourceStats previous;  // the last E-step's sums (hard EM)
+  bool settled = false;  // the last M-step was run to its tolerance
 
   EmStats stats;
   for (int32_t iter = 0; iter < max_iterations; ++iter) {
@@ -260,7 +272,8 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
           [](EStepAcc* total, const EStepAcc& shard) {
             total->stats.Add(shard.stats);
             total->nll += shard.nll;
-          });
+          },
+          estep_work);
       estep.stats.Add(clamped_stats);
       for (const LabeledExample& ex : labeled) {
         estep.nll += model->ObjectNll(
@@ -268,19 +281,36 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
       }
     }
 
+    stats.iterations = iter + 1;
+    stats.final_expected_nll = estep.nll;
+
+    ErmOptions m_step = options_.m_step;
+    if (!options_.soft) {
+      const bool repeated = estep.stats.weight == previous.weight &&
+                            estep.stats.label == previous.label;
+      if (repeated && settled) {
+        stats.converged = true;
+        break;
+      }
+      settled = repeated;
+      if (repeated) m_step.epochs *= max_iterations - iter;
+    }
+
     // ---- M-step: warm-started full-batch accuracy-loss fit on the
     // per-source statistics of all claim targets. ----
     {
       obs::TraceSpan span("core.em.mstep");
       SLIMFAST_RETURN_NOT_OK(
-          m_step.FitSourceStats(estep.stats, model).status());
+          ErmLearner(m_step).FitSourceStats(estep.stats, model).status());
     }
 
-    stats.iterations = iter + 1;
-    stats.final_expected_nll = estep.nll;
-    if (tracker.Update(estep.nll)) {
-      stats.converged = true;
-      break;
+    if (options_.soft) {
+      if (tracker.Update(estep.nll)) {
+        stats.converged = true;
+        break;
+      }
+    } else {
+      previous = std::move(estep.stats);
     }
   }
   return stats;

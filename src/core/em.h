@@ -16,10 +16,13 @@ struct CompiledInstance;
 
 /// Statistics of an EM run.
 struct EmStats {
+  /// E-steps run (the last one of a converged hard-EM run has no M-step).
   int32_t iterations = 0;
+  /// Hard EM: stopped at its fixed point. Soft EM: the expected NLL met
+  /// `EmOptions::tolerance` for `patience` rounds.
   bool converged = false;
-  /// Expected negative log-likelihood at the last E-step (the objective
-  /// tracked for convergence).
+  /// Expected negative log-likelihood at the last E-step (soft EM's
+  /// convergence objective).
   double final_expected_nll = 0.0;
 };
 
@@ -43,6 +46,15 @@ struct EmStats {
 /// ErmLearner::FitSourceStats: O(sources + sigma terms) per epoch for hard
 /// and soft EM alike (`EmOptions::m_step.batch` is not consulted).
 ///
+/// Stopping: `EmOptions::max_iterations` is a cap. Hard EM stops at its
+/// fixed point: once the MAP assignment stops changing, an E-step repeats
+/// the previous E-step's per-source sums exactly, and the M-step would
+/// see the same problem again. That M-step is run to its own tolerance
+/// (`ErmOptions::tolerance`, capped at the epochs the remaining rounds
+/// would have spent); if the next E-step repeats the sums once more, EM
+/// stops with `EmStats::converged`. Soft EM stops when the expected NLL
+/// changes by less than `EmOptions::tolerance` for `patience` rounds.
+///
 /// Initialization: with no usable ground truth, source weights start at
 /// logit(init_accuracy) so the first E-step reduces to (weighted) majority
 /// vote; with ground truth, an initial ERM fit on the labels seeds the
@@ -56,9 +68,11 @@ class EmLearner {
   /// Runs EM on `model` in place. `train_objects` may be empty
   /// (fully unsupervised). The E-step's per-object posterior imputation is
   /// sharded across `exec` (null = serial) with a deterministic reduce, so
-  /// thread count never changes the fit. The E-step walks the flat CSR
-  /// rows of `instance`, the compilation `model` was built on; a null
-  /// `instance` is InvalidArgument.
+  /// thread count never changes the fit; an instance whose terms plus
+  /// claims fall below kMinParallelWork runs its shards inline (see
+  /// exec/parallel.h). The E-step walks the flat CSR rows of `instance`,
+  /// the compilation `model` was built on; a null `instance` is
+  /// InvalidArgument.
   ///
   /// With `warm_start` set, the model's current weights are taken as the
   /// starting point — initialization (the logit-prior source weights and

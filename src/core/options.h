@@ -82,7 +82,8 @@ struct ErmOptions {
 
 /// Options for the EM learner (semi-supervised, Sec. 3.2).
 struct EmOptions {
-  /// Cold-start cap on E-step/M-step rounds.
+  /// Cold-start cap on E-step/M-step rounds. A cap, not a schedule: hard
+  /// EM stops earlier at its fixed point and soft EM on `tolerance`.
   int32_t max_iterations = 30;
   /// Iteration cap for a warm-started run; 0 falls back to
   /// max_iterations. Set by the facade from `WarmStartOptions` so the
@@ -99,7 +100,9 @@ struct EmOptions {
   /// round). `batch` and `loss` have no effect on EM: every M-step is the
   /// full-batch accuracy-loss fit on per-source statistics.
   ErmOptions m_step;
-  /// Convergence on the expected log-likelihood.
+  /// Soft EM's exit: the expected negative log-likelihood changes by less
+  /// than `tolerance` (relative) for `patience` consecutive rounds. Hard
+  /// EM ignores both and stops at its fixed point instead (see EmLearner).
   double tolerance = 1e-5;
   int32_t patience = 2;
 

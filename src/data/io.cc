@@ -1,5 +1,6 @@
 #include "data/io.h"
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -11,14 +12,24 @@ namespace slimfast {
 
 namespace {
 
-Result<int64_t> ParseInt(const std::string& text) {
+/// Parses a base-10 id or count of `file`. Every id and count of a
+/// dataset is an int32, so a literal outside that range (including one
+/// that overflows strtoll) is InvalidArgument rather than a wrapped id.
+Result<int32_t> ParseInt(const std::string& text, const char* file) {
   char* end = nullptr;
-  long long value = std::strtoll(text.c_str(), &end, 10);
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
   if (end == text.c_str() || *end != '\0') {
-    return Status::InvalidArgument("cannot parse integer from '" + text +
+    return Status::InvalidArgument(std::string(file) +
+                                   ": cannot parse integer from '" + text +
                                    "'");
   }
-  return static_cast<int64_t>(value);
+  if (errno == ERANGE || value < std::numeric_limits<int32_t>::min() ||
+      value > std::numeric_limits<int32_t>::max()) {
+    return Status::InvalidArgument(std::string(file) + ": '" + text +
+                                   "' is outside the int32 range");
+  }
+  return static_cast<int32_t>(value);
 }
 
 }  // namespace
@@ -72,20 +83,19 @@ Result<Dataset> LoadDataset(const std::string& dir) {
     return Status::InvalidArgument("malformed meta.csv in '" + dir + "'");
   }
   const auto& meta_row = meta.rows()[0];
-  SLIMFAST_ASSIGN_OR_RETURN(int64_t num_sources, ParseInt(meta_row[1]));
-  SLIMFAST_ASSIGN_OR_RETURN(int64_t num_objects, ParseInt(meta_row[2]));
-  SLIMFAST_ASSIGN_OR_RETURN(int64_t num_values, ParseInt(meta_row[3]));
-  // Counts index int32 ids, and every object needs a value domain.
-  constexpr int64_t kMaxCount = std::numeric_limits<int32_t>::max();
-  if (num_sources < 0 || num_sources > kMaxCount || num_objects < 0 ||
-      num_objects > kMaxCount || num_values < 1 || num_values > kMaxCount) {
+  SLIMFAST_ASSIGN_OR_RETURN(int32_t num_sources,
+                            ParseInt(meta_row[1], "meta.csv"));
+  SLIMFAST_ASSIGN_OR_RETURN(int32_t num_objects,
+                            ParseInt(meta_row[2], "meta.csv"));
+  SLIMFAST_ASSIGN_OR_RETURN(int32_t num_values,
+                            ParseInt(meta_row[3], "meta.csv"));
+  // Every object needs a value domain.
+  if (num_sources < 0 || num_objects < 0 || num_values < 1) {
     return Status::InvalidArgument("meta.csv counts out of range in '" + dir +
                                    "'");
   }
 
-  DatasetBuilder builder(meta_row[0], static_cast<int32_t>(num_sources),
-                         static_cast<int32_t>(num_objects),
-                         static_cast<int32_t>(num_values));
+  DatasetBuilder builder(meta_row[0], num_sources, num_objects, num_values);
 
   SLIMFAST_ASSIGN_OR_RETURN(CsvTable obs,
                             CsvTable::ReadFile(dir + "/observations.csv"));
@@ -93,12 +103,13 @@ Result<Dataset> LoadDataset(const std::string& dir) {
     if (row.size() != 3) {
       return Status::InvalidArgument("malformed observations.csv row");
     }
-    SLIMFAST_ASSIGN_OR_RETURN(int64_t object, ParseInt(row[0]));
-    SLIMFAST_ASSIGN_OR_RETURN(int64_t source, ParseInt(row[1]));
-    SLIMFAST_ASSIGN_OR_RETURN(int64_t value, ParseInt(row[2]));
-    SLIMFAST_RETURN_NOT_OK(builder.AddObservation(
-        static_cast<ObjectId>(object), static_cast<SourceId>(source),
-        static_cast<ValueId>(value)));
+    SLIMFAST_ASSIGN_OR_RETURN(ObjectId object,
+                              ParseInt(row[0], "observations.csv"));
+    SLIMFAST_ASSIGN_OR_RETURN(SourceId source,
+                              ParseInt(row[1], "observations.csv"));
+    SLIMFAST_ASSIGN_OR_RETURN(ValueId value,
+                              ParseInt(row[2], "observations.csv"));
+    SLIMFAST_RETURN_NOT_OK(builder.AddObservation(object, source, value));
   }
 
   SLIMFAST_ASSIGN_OR_RETURN(CsvTable truth,
@@ -107,10 +118,9 @@ Result<Dataset> LoadDataset(const std::string& dir) {
     if (row.size() != 2) {
       return Status::InvalidArgument("malformed truth.csv row");
     }
-    SLIMFAST_ASSIGN_OR_RETURN(int64_t object, ParseInt(row[0]));
-    SLIMFAST_ASSIGN_OR_RETURN(int64_t value, ParseInt(row[1]));
-    SLIMFAST_RETURN_NOT_OK(builder.SetTruth(static_cast<ObjectId>(object),
-                                            static_cast<ValueId>(value)));
+    SLIMFAST_ASSIGN_OR_RETURN(ObjectId object, ParseInt(row[0], "truth.csv"));
+    SLIMFAST_ASSIGN_OR_RETURN(ValueId value, ParseInt(row[1], "truth.csv"));
+    SLIMFAST_RETURN_NOT_OK(builder.SetTruth(object, value));
   }
 
   SLIMFAST_ASSIGN_OR_RETURN(CsvTable features,
@@ -131,10 +141,12 @@ Result<Dataset> LoadDataset(const std::string& dir) {
     if (row.size() != 2) {
       return Status::InvalidArgument("malformed source_features.csv row");
     }
-    SLIMFAST_ASSIGN_OR_RETURN(int64_t source, ParseInt(row[0]));
-    SLIMFAST_ASSIGN_OR_RETURN(int64_t feature, ParseInt(row[1]));
-    SLIMFAST_RETURN_NOT_OK(builder.mutable_features()->SetFeature(
-        static_cast<SourceId>(source), static_cast<FeatureId>(feature)));
+    SLIMFAST_ASSIGN_OR_RETURN(SourceId source,
+                              ParseInt(row[0], "source_features.csv"));
+    SLIMFAST_ASSIGN_OR_RETURN(FeatureId feature,
+                              ParseInt(row[1], "source_features.csv"));
+    SLIMFAST_RETURN_NOT_OK(
+        builder.mutable_features()->SetFeature(source, feature));
   }
 
   return std::move(builder).Build();

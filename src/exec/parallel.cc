@@ -46,9 +46,10 @@ Executor::Executor(const ExecOptions& options)
     : threads_(ResolveThreads(options)) {}
 
 void Executor::RunShards(int32_t num_shards,
-                         const std::function<void(int32_t)>& body) {
+                         const std::function<void(int32_t)>& body,
+                         int64_t work) {
   if (num_shards <= 0) return;
-  if (threads_ <= 1 || num_shards == 1) {
+  if (threads_ <= 1 || num_shards == 1 || work < kMinParallelWork) {
     for (int32_t s = 0; s < num_shards; ++s) body(s);
     return;
   }
@@ -121,22 +122,25 @@ void Executor::RunShards(int32_t num_shards,
 }
 
 void RunSharded(Executor* exec, int32_t num_shards,
-                const std::function<void(int32_t)>& body) {
+                const std::function<void(int32_t)>& body, int64_t work) {
   if (exec != nullptr) {
-    exec->RunShards(num_shards, body);
+    exec->RunShards(num_shards, body, work);
     return;
   }
   for (int32_t s = 0; s < num_shards; ++s) body(s);
 }
 
 void ParallelFor(Executor* exec, int64_t n,
-                 const std::function<void(int64_t)>& fn) {
+                 const std::function<void(int64_t)>& fn, int64_t work) {
   const std::vector<ShardRange> shards = StaticShards(n, FixedShardCount(n));
   if (shards.empty()) return;
-  RunSharded(exec, static_cast<int32_t>(shards.size()), [&](int32_t s) {
-    const ShardRange& range = shards[static_cast<size_t>(s)];
-    for (int64_t i = range.begin; i < range.end; ++i) fn(i);
-  });
+  RunSharded(
+      exec, static_cast<int32_t>(shards.size()),
+      [&](int32_t s) {
+        const ShardRange& range = shards[static_cast<size_t>(s)];
+        for (int64_t i = range.begin; i < range.end; ++i) fn(i);
+      },
+      work);
 }
 
 }  // namespace slimfast

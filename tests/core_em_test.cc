@@ -7,6 +7,8 @@
 #include "core/compiled_instance.h"
 #include "core/em.h"
 #include "eval/metrics.h"
+#include "exec/parallel.h"
+#include "obs/trace.h"
 #include "opt/proximal.h"
 #include "opt/schedule.h"
 #include "simd/simd.h"
@@ -388,6 +390,115 @@ TEST(EmStatsTest, HardAndSoftEmBitIdenticalAcrossThreadsAndSimd) {
     EXPECT_EQ(fit(1, false), baseline);
     EXPECT_EQ(fit(4, false), baseline);
   }
+}
+
+/// The same contract on an instance whose E-step work is above the exec
+/// minimum-work constant, so the 4-thread fits really run on the pool
+/// (the instance above is small enough to run inline).
+TEST(EmStatsTest, HardAndSoftEmBitIdenticalWhenTheEStepDispatches) {
+  Dataset d = MakeFeaturedDataset(150, 10000, 0.05, 29);
+  Rng split_rng(6);
+  TrainTestSplit split = MakeSplit(d, 0.01, &split_rng).ValueOrDie();
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  ASSERT_GE(static_cast<int64_t>(instance->term_param.size() +
+                                 instance->claim_sources.size()),
+            kMinParallelWork);
+  for (bool soft : {false, true}) {
+    SCOPED_TRACE(soft ? "soft" : "hard");
+    EmOptions options;
+    options.soft = soft;
+    auto fit = [&](int32_t threads) {
+      Executor exec(ExecOptions{threads});
+      SlimFastModel model(instance->model);
+      Rng rng(9);
+      auto stats = EmLearner(options).Fit(d, split.train_objects, &model,
+                                          &rng, &exec, instance.get());
+      EXPECT_TRUE(stats.ok()) << stats.status();
+      EXPECT_EQ(exec.pool_started(), threads > 1);
+      return model.weights();
+    };
+    EXPECT_EQ(fit(4), fit(1));
+  }
+}
+
+/// Hard EM stops once an E-step repeats the previous one's per-source
+/// sums after an M-step run to its tolerance, well inside the 30-round
+/// cap, on the benchmark's EM shape.
+TEST(EmStopRuleTest, HardEmReachesItsFixedPointOnTheFuseEmShape) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE(seed);
+    Dataset d = MakeFeaturedDataset(150, 1000, 0.05, seed);
+    Rng split_rng(seed);
+    TrainTestSplit split = MakeSplit(d, 0.01, &split_rng).ValueOrDie();
+    auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+    SlimFastModel model(instance->model);
+    Rng rng(seed);
+    const EmOptions options;
+    EmStats stats = EmLearner(options)
+                        .Fit(d, split.train_objects, &model, &rng, nullptr,
+                             instance.get())
+                        .ValueOrDie();
+    EXPECT_TRUE(stats.converged);
+    EXPECT_LT(stats.iterations, options.max_iterations);
+  }
+}
+
+/// A warm-started refit from the stopped weights is already at the fixed
+/// point: it predicts the same values and stops within three rounds (the
+/// first round has no previous sums to compare, the second runs the
+/// M-step to its tolerance, the third confirms).
+TEST(EmStopRuleTest, WarmRefitFromTheFixedPointStopsAtOnce) {
+  Dataset d = MakeFeaturedDataset(150, 1000, 0.05, 3);
+  Rng split_rng(3);
+  TrainTestSplit split = MakeSplit(d, 0.01, &split_rng).ValueOrDie();
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  SlimFastModel model(instance->model);
+  Rng rng(3);
+  EmLearner learner{EmOptions{}};
+  ASSERT_TRUE(learner
+                  .Fit(d, split.train_objects, &model, &rng, nullptr,
+                       instance.get())
+                  .ValueOrDie()
+                  .converged);
+  const std::vector<ValueId> stopped = model.PredictAll();
+  EmStats refit = learner
+                      .Fit(d, split.train_objects, &model, &rng, nullptr,
+                           instance.get(), /*warm_start=*/true)
+                      .ValueOrDie();
+  EXPECT_TRUE(refit.converged);
+  EXPECT_LE(refit.iterations, 3);
+  EXPECT_EQ(model.PredictAll(), stopped);
+}
+
+/// The inversion guard still restarts a run that ends anti-predicting its
+/// own labels. A prior of 5% accuracy on every source, which one labeled
+/// object cannot overturn, makes the first run converge to the flipped
+/// fixed point; the retry shows up as E-steps beyond the returned run's.
+TEST(EmStopRuleTest, InversionGuardRetryStillRuns) {
+  std::vector<double> accuracies(10, 0.8);
+  Dataset d = testutil::MakePlantedDataset(accuracies, 200, 1.0, 307);
+  ModelConfig config;
+  config.use_feature_weights = false;
+  auto instance = CompileInstance(d, config).ValueOrDie();
+  SlimFastModel model(instance->model);
+  EmOptions options;
+  options.init_accuracy = 0.05;
+  Rng rng(4);
+  obs::TraceRecorder& trace = obs::TraceRecorder::Global();
+  trace.Clear();
+  trace.Enable();
+  EmStats stats = EmLearner(options)
+                      .Fit(d, {0}, &model, &rng, nullptr, instance.get())
+                      .ValueOrDie();
+  trace.Disable();
+  const std::string json = trace.ToChromeJson();
+  trace.Clear();
+  int32_t esteps = 0;
+  for (size_t at = json.find("\"core.em.estep\""); at != std::string::npos;
+       at = json.find("\"core.em.estep\"", at + 1)) {
+    ++esteps;
+  }
+  EXPECT_GT(esteps, stats.iterations);
 }
 
 /// The benchmark's EM shape — 150 sources, density 0.05, 1% labels, four

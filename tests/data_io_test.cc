@@ -116,5 +116,34 @@ TEST_F(DataIoTest, OutOfRangeMetaCountsAreRejected) {
   }
 }
 
+/// An id outside int32 comes back as InvalidArgument naming its file;
+/// it used to be truncated, so `4294967296` loaded as object 0.
+TEST_F(DataIoTest, OutOfRangeIdsAreRejectedNamingTheFile) {
+  struct Case {
+    const char* file;
+    const char* content;
+  };
+  const Case cases[] = {
+      {"observations.csv", "object,source,value\n4294967296,0,1\n"},
+      {"observations.csv", "object,source,value\n0,-4294967296,1\n"},
+      {"truth.csv", "object,value\n0,4294967298\n"},
+      {"source_features.csv", "source,feature_id\n4294967296,0\n"},
+      // Overflows strtoll itself (ERANGE), not just int32.
+      {"observations.csv", "object,source,value\n99999999999999999999,0,1\n"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.content);
+    ASSERT_TRUE(SaveDataset(MakeRichDataset(), dir_).ok());
+    {
+      std::ofstream out(dir_ + "/" + c.file, std::ios::trunc);
+      out << c.content;
+    }
+    auto loaded = LoadDataset(dir_);
+    ASSERT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
+    EXPECT_NE(loaded.status().ToString().find(c.file), std::string::npos)
+        << loaded.status();
+  }
+}
+
 }  // namespace
 }  // namespace slimfast

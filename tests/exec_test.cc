@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "exec/options.h"
@@ -154,7 +155,8 @@ TEST(ParallelForTest, LowestFailingShardWins) {
 
 // -------------------------------------------------- DeterministicReduce
 
-double ReduceSum(Executor* exec, const std::vector<double>& values) {
+double ReduceSum(Executor* exec, const std::vector<double>& values,
+                 int64_t work = kCoarseWork) {
   return DeterministicReduce(
       exec, static_cast<int64_t>(values.size()), 0.0,
       [&](const ShardRange& range, double* acc) {
@@ -162,7 +164,7 @@ double ReduceSum(Executor* exec, const std::vector<double>& values) {
           *acc += values[static_cast<size_t>(i)];
         }
       },
-      [](double* total, const double& shard) { *total += shard; });
+      [](double* total, const double& shard) { *total += shard; }, work);
 }
 
 TEST(DeterministicReduceTest, BitIdenticalAcrossThreadCounts) {
@@ -207,6 +209,67 @@ TEST(DeterministicReduceTest, CombinesInShardOrder) {
         total->insert(total->end(), shard.begin(), shard.end());
       });
   EXPECT_EQ(out, items);
+}
+
+// -------------------------------------------------------- minimum work
+
+/// The thread each of `num_shards` shards ran on, dispatched with `work`.
+std::vector<std::thread::id> ShardThreads(Executor* exec, int32_t num_shards,
+                                          int64_t work) {
+  std::vector<std::thread::id> ids(static_cast<size_t>(num_shards));
+  auto record = [&](int32_t s) {
+    ids[static_cast<size_t>(s)] = std::this_thread::get_id();
+  };
+  exec->RunShards(num_shards, record, work);
+  return ids;
+}
+
+TEST(MinimumWorkTest, BelowTheConstantShardsRunInlineWithoutAPool) {
+  Executor exec(ExecOptions{4});
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int64_t work : {int64_t{0}, int64_t{1}, kMinParallelWork - 1}) {
+    for (std::thread::id id : ShardThreads(&exec, kFixedShardCount, work)) {
+      EXPECT_EQ(id, caller) << "work " << work;
+    }
+  }
+  // Inline means in index order, too.
+  std::vector<int64_t> order;
+  ParallelFor(
+      &exec, 100, [&](int64_t i) { order.push_back(i); },
+      kMinParallelWork - 1);
+  std::vector<int64_t> expected(100);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+  EXPECT_FALSE(exec.pool_started());
+}
+
+TEST(MinimumWorkTest, AtTheConstantShardsReachPoolWorkers) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int64_t work : {kMinParallelWork, kCoarseWork}) {
+    Executor exec(ExecOptions{4});
+    // The caller only waits while the pool runs the shards.
+    for (std::thread::id id : ShardThreads(&exec, kFixedShardCount, work)) {
+      EXPECT_NE(id, caller) << "work " << work;
+    }
+    EXPECT_TRUE(exec.pool_started());
+  }
+}
+
+TEST(MinimumWorkTest, ReduceIsBitIdenticalInlinePooledAndSerial) {
+  // 1,001 items cut into 32 uneven shards, adversarial magnitudes.
+  Rng rng(11);
+  std::vector<double> values(1001);
+  for (double& v : values) {
+    v = rng.Uniform(-1.0, 1.0) * std::pow(10.0, rng.UniformInt(20) - 10);
+  }
+  Executor pooled(ExecOptions{4});
+  Executor serial(ExecOptions{1});
+  const double inline_sum = ReduceSum(&pooled, values, kMinParallelWork - 1);
+  EXPECT_FALSE(pooled.pool_started());
+  EXPECT_EQ(ReduceSum(&pooled, values), inline_sum);
+  EXPECT_TRUE(pooled.pool_started());
+  EXPECT_EQ(ReduceSum(&serial, values), inline_sum);
+  EXPECT_EQ(ReduceSum(nullptr, values), inline_sum);
 }
 
 // ------------------------------------------------------------ ShardedRng

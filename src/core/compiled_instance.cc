@@ -172,17 +172,9 @@ Result<std::shared_ptr<const CompiledInstance>> DeltaCompile(
   std::sort(recompile.begin(), recompile.end());
   recompile.erase(std::unique(recompile.begin(), recompile.end()),
                   recompile.end());
-  // The recompile's work for the exec minimum-work rule: each claim of a
-  // recompiled row adds its source's sigma terms (the mean count) to the
-  // row.
-  int64_t recompile_claims = 0;
-  for (ObjectId o : recompile) recompile_claims += store.ObjectRange(o).size();
-  const int64_t terms_per_claim =
-      1 + static_cast<int64_t>(base.sigma_terms.size()) /
-              std::max<int64_t>(1, base_model.num_sources);
   std::vector<CompiledObject> rows(recompile.size());
   const std::unordered_map<int64_t, int32_t> no_copy_pairs;
-  auto compile_row = [&](int64_t i) {
+  ParallelFor(exec, static_cast<int64_t>(recompile.size()), [&](int64_t i) {
     ObjectId o = recompile[static_cast<size_t>(i)];
     IndexRange range = store.ObjectRange(o);
     std::vector<SourceClaim> claims;
@@ -197,9 +189,7 @@ Result<std::shared_ptr<const CompiledInstance>> DeltaCompile(
         store.domain_values().begin() + domain_range.end);
     rows[static_cast<size_t>(i)] =
         CompileObjectRow(o, claims, domain, base_model, no_copy_pairs);
-  };
-  ParallelFor(exec, static_cast<int64_t>(recompile.size()), compile_row,
-              recompile_claims * terms_per_claim);
+  });
 
   // Assemble the new row list in ObjectId order: recompiled rows splice in
   // where their object sits, everything else is copied from the base.

@@ -1,5 +1,6 @@
 #include "core/em.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/compiled_instance.h"
@@ -246,6 +247,11 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
   // are the fixed point and EM stops.
   SourceStats previous;  // the last E-step's sums (hard EM)
   bool settled = false;  // the last M-step was run to its tolerance
+  // Every M-step of the run draws on one budget, the epochs of
+  // max_iterations ordinary M-steps, so sums that keep repeating and
+  // changing cannot grant long M-steps past it. A run that spends it
+  // stops unconverged.
+  int64_t epochs_left = int64_t{options_.m_step.epochs} * max_iterations;
 
   EmStats stats;
   for (int32_t iter = 0; iter < max_iterations; ++iter) {
@@ -295,13 +301,18 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
       settled = repeated;
       if (repeated) m_step.epochs *= max_iterations - iter;
     }
+    m_step.epochs = static_cast<int32_t>(
+        std::min<int64_t>(m_step.epochs, epochs_left));
+    if (m_step.epochs <= 0) break;
 
     // ---- M-step: warm-started full-batch accuracy-loss fit on the
     // per-source statistics of all claim targets. ----
     {
       obs::TraceSpan span("core.em.mstep");
-      SLIMFAST_RETURN_NOT_OK(
-          ErmLearner(m_step).FitSourceStats(estep.stats, model).status());
+      SLIMFAST_ASSIGN_OR_RETURN(
+          FitStats fit, ErmLearner(m_step).FitSourceStats(estep.stats, model));
+      epochs_left -= fit.epochs;
+      stats.mstep_epochs += fit.epochs;
     }
 
     if (options_.soft) {

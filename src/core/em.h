@@ -24,6 +24,9 @@ struct EmStats {
   /// Expected negative log-likelihood at the last E-step (soft EM's
   /// convergence objective).
   double final_expected_nll = 0.0;
+  /// Epochs run by all M-steps together: at most `m_step.epochs` times
+  /// the round cap.
+  int32_t mstep_epochs = 0;
 };
 
 /// Semi-supervised expectation maximization (Sec. 3.2).
@@ -52,8 +55,10 @@ struct EmStats {
 /// see the same problem again. That M-step is run to its own tolerance
 /// (`ErmOptions::tolerance`, capped at the epochs the remaining rounds
 /// would have spent); if the next E-step repeats the sums once more, EM
-/// stops with `EmStats::converged`. Soft EM stops when the expected NLL
-/// changes by less than `EmOptions::tolerance` for `patience` rounds.
+/// stops with `EmStats::converged`. All M-steps of a run share one
+/// budget, `m_step.epochs` times the round cap; a run that spends it
+/// stops unconverged. Soft EM stops when the expected NLL changes by less
+/// than `EmOptions::tolerance` for `patience` rounds.
 ///
 /// Initialization: with no usable ground truth, source weights start at
 /// logit(init_accuracy) so the first E-step reduces to (weighted) majority

@@ -190,15 +190,6 @@ Result<FitStats> FitObjectLossBatch(
         inst.DomainSize(used_rows[static_cast<size_t>(s)]);
   }
   const int64_t num_packed = packed_begin[static_cast<size_t>(num_used)];
-  // An epoch's work for the exec minimum-work rule: every term of every
-  // used row is scored and scattered once, every candidate normalized.
-  int64_t epoch_work = num_packed;
-  for (int32_t row : used_rows) {
-    epoch_work += inst.term_begin[static_cast<size_t>(
-                      inst.row_begin[static_cast<size_t>(row) + 1])] -
-                  inst.term_begin[static_cast<size_t>(
-                      inst.row_begin[static_cast<size_t>(row)])];
-  }
   // Grouped example constants: total example weight per used row, and
   // summed target weight per packed candidate.
   std::vector<double> row_weight(static_cast<size_t>(num_used), 0.0);
@@ -269,8 +260,7 @@ Result<FitStats> FitObjectLossBatch(
               });
             }
           }
-        },
-        epoch_work);
+        });
     // Shard-order fold. Visiting only each shard's touched params adds the
     // same per-param contributions, in the same shard order, as a
     // full-vector fold (untouched slots contributed exactly 0.0). Draining

@@ -33,8 +33,9 @@ inline constexpr int32_t kFixedShardCount = 32;
 /// in shard order, and never wakes (or starts) the pool. The shard cuts
 /// and the fold order are the ones the pool would use, so the results are
 /// bit-identical either way; only the dispatch cost goes. The unit is one
-/// compiled term or claim visited, the inner step of the E-step and the
-/// batch-ERM epoch.
+/// compiled term or claim visited, the inner step of the EM E-step, the
+/// one caller that passes an estimate: the sweep below timed only it, so
+/// other stages keep dispatching until their own crossover is measured.
 ///
 /// The value comes from a sweep on a shared 4-vCPU host: one EM E-step on
 /// the fuse_em shape (150 sources, density 0.05, four feature groups)
@@ -50,12 +51,16 @@ inline constexpr int32_t kFixedShardCount = 32;
 /// 2^18 (262k) is where the pool's worst case, the slow state, comes
 /// within about 10% of inline while the fast state gains about 1.7x.
 /// Smaller work risks a larger loss (20% at 154k, 41% at 76k) for a
-/// smaller gain. A fuse_em E-step (~38k) runs inline.
+/// smaller gain. A fuse_em E-step (~38k) runs inline. The pooled side is
+/// checked for bits (tests/exec_test.cc, tests/core_em_test.cc) but not
+/// yet timed by a benchmark workload.
 inline constexpr int64_t kMinParallelWork = int64_t{1} << 18;
 
-/// The work estimate of a coarse loop (synthetic replicas, eval grid
-/// cells, serve shards), each of whose items is heavy enough on its own:
-/// it always dispatches. The default of every dispatch below.
+/// The work estimate of a dispatch that always reaches the pool: coarse
+/// loops (synthetic replicas, eval grid cells, serve shards), each of
+/// whose items is heavy enough on its own, and stages whose crossover
+/// has not been measured (the batch-ERM epoch, delta compilation). The
+/// default of every dispatch below.
 inline constexpr int64_t kCoarseWork = std::numeric_limits<int64_t>::max();
 
 /// Splits [0, n) into min(n, num_shards) contiguous shards whose sizes

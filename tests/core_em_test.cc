@@ -501,6 +501,31 @@ TEST(EmStopRuleTest, InversionGuardRetryStillRuns) {
   EXPECT_GT(esteps, stats.iterations);
 }
 
+/// Sums that repeat, change and repeat again cannot grant long M-steps
+/// past one budget: all M-steps of a run share the epochs of
+/// max_iterations ordinary ones. With the M-step's tolerance at 0 no
+/// M-step stops early, so the first long one spends the whole remainder;
+/// on this instance the next E-step's sums change, and the run stops
+/// there, unconverged, instead of granting a second long M-step.
+TEST(EmStopRuleTest, MStepsShareOneEpochBudget) {
+  Dataset d = MakeFeaturedDataset(6, 8, 0.6, 23);
+  Rng split_rng(23);
+  TrainTestSplit split = MakeSplit(d, 0.0, &split_rng).ValueOrDie();
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  SlimFastModel model(instance->model);
+  EmOptions options;
+  options.m_step.tolerance = 0.0;
+  Rng rng(23);
+  EmStats stats = EmLearner(options)
+                      .Fit(d, split.train_objects, &model, &rng, nullptr,
+                           instance.get())
+                      .ValueOrDie();
+  EXPECT_EQ(stats.mstep_epochs,
+            options.m_step.epochs * options.max_iterations);
+  EXPECT_FALSE(stats.converged);
+  EXPECT_LT(stats.iterations, options.max_iterations);
+}
+
 /// The benchmark's EM shape — 150 sources, density 0.05, 1% labels, four
 /// weakly predictive feature groups — where the optimizer picks EM:
 /// held-out accuracy reaches MajorityVote's on the same splits.

@@ -1,8 +1,8 @@
 #include "core/compilation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <map>
 #include <unordered_map>
 
 #include "util/logging.h"
@@ -24,31 +24,39 @@ const CompiledObject* CompiledModel::RowOf(ObjectId object) const {
   return &objects[static_cast<size_t>(row)];
 }
 
-namespace {
-
-/// Accumulates sparse (param, coeff) pairs and emits a merged, sorted term
-/// list.
-class TermAccumulator {
- public:
-  void Add(ParamId param, double coeff) { coeffs_[param] += coeff; }
-
-  void AddAll(const std::vector<ParamTerm>& terms) {
-    for (const ParamTerm& t : terms) Add(t.param, t.coeff);
-  }
-
-  std::vector<ParamTerm> Finish() {
-    std::vector<ParamTerm> out;
-    out.reserve(coeffs_.size());
-    for (const auto& [param, coeff] : coeffs_) {
-      if (coeff != 0.0) out.push_back(ParamTerm{param, coeff});
+std::vector<ParamTerm> TermAccumulator::Finish() {
+  size_t count = 0;
+  for (size_t block = first_block_; block < end_block_; ++block) {
+    for (uint64_t live = summary_[block]; live != 0; live &= live - 1) {
+      const size_t word =
+          block * 64 + static_cast<size_t>(std::countr_zero(live));
+      count += static_cast<size_t>(std::popcount(words_[word]));
     }
-    coeffs_.clear();
-    return out;
   }
+  std::vector<ParamTerm> out;
+  out.reserve(count);
+  for (size_t block = first_block_; block < end_block_; ++block) {
+    for (uint64_t live = summary_[block]; live != 0; live &= live - 1) {
+      const size_t word =
+          block * 64 + static_cast<size_t>(std::countr_zero(live));
+      for (uint64_t bits = words_[word]; bits != 0; bits &= bits - 1) {
+        const size_t p =
+            word * 64 + static_cast<size_t>(std::countr_zero(bits));
+        if (sums_[p] != 0.0) {
+          out.push_back(ParamTerm{static_cast<ParamId>(p), sums_[p]});
+        }
+        sums_[p] = 0.0;
+      }
+      words_[word] = 0;
+    }
+    summary_[block] = 0;
+  }
+  first_block_ = SIZE_MAX;
+  end_block_ = 0;
+  return out;
+}
 
- private:
-  std::map<ParamId, double> coeffs_;
-};
+namespace {
 
 /// Selects the copying source pairs: pairs whose agreeing co-observations
 /// reach config.copying_min_agreements, capped at copying_max_pairs by
@@ -100,7 +108,8 @@ std::vector<std::pair<SourceId, SourceId>> SelectCopyPairs(
 CompiledObject CompileObjectRow(
     ObjectId object, const std::vector<SourceClaim>& claims,
     const std::vector<ValueId>& domain, const CompiledModel& model,
-    const std::unordered_map<int64_t, int32_t>& copy_pair_index) {
+    const std::unordered_map<int64_t, int32_t>& copy_pair_index,
+    TermAccumulator* acc) {
   const ModelConfig& config = model.config;
   CompiledObject obj;
   obj.object = object;
@@ -111,12 +120,11 @@ CompiledObject CompileObjectRow(
       (config.multiclass_offset && obj.domain.size() > 2)
           ? std::log(static_cast<double>(obj.domain.size()) - 1.0)
           : 0.0;
-  TermAccumulator acc;
   for (size_t di = 0; di < obj.domain.size(); ++di) {
     ValueId d = obj.domain[di];
     for (const SourceClaim& claim : claims) {
       if (claim.value == d) {
-        acc.AddAll(model.sigma_terms[static_cast<size_t>(claim.source)]);
+        acc->AddAll(model.sigma_terms[static_cast<size_t>(claim.source)]);
         obj.offsets[di] += claim_offset;
       }
     }
@@ -135,12 +143,12 @@ CompiledObject CompileObjectRow(
               static_cast<int64_t>(i) * model.num_sources + j);
           if (it == copy_pair_index.end()) continue;
           if (d != claims[a].value) {
-            acc.Add(model.layout.copy_offset + it->second, 1.0);
+            acc->Add(model.layout.copy_offset + it->second, 1.0);
           }
         }
       }
     }
-    obj.terms[di] = acc.Finish();
+    obj.terms[di] = acc->Finish();
   }
   return obj;
 }
@@ -209,13 +217,19 @@ Result<CompiledModel> Compile(const Dataset& dataset,
   // Per-object posterior expressions, one shared CompileObjectRow call per
   // observed object (the same call DeltaCompile makes for touched rows).
   model.object_row.assign(static_cast<size_t>(dataset.num_objects()), -1);
+  size_t num_rows = 0;
+  for (ObjectId o = 0; o < dataset.num_objects(); ++o) {
+    if (!dataset.ClaimsOnObject(o).empty()) ++num_rows;
+  }
+  model.objects.reserve(num_rows);
+  TermAccumulator acc(layout.num_params);
   for (ObjectId o = 0; o < dataset.num_objects(); ++o) {
     const auto& claims = dataset.ClaimsOnObject(o);
     if (claims.empty()) continue;
     model.object_row[static_cast<size_t>(o)] =
         static_cast<int32_t>(model.objects.size());
-    model.objects.push_back(
-        CompileObjectRow(o, claims, dataset.DomainOf(o), model, pair_index));
+    model.objects.push_back(CompileObjectRow(
+        o, claims, dataset.DomainOf(o), model, pair_index, &acc));
   }
   return model;
 }

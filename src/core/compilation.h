@@ -110,6 +110,52 @@ struct CompiledModel {
 Result<CompiledModel> Compile(const Dataset& dataset,
                               const ModelConfig& config);
 
+/// Merges the (param, coeff) terms of one candidate into a list sorted by
+/// parameter with zero sums dropped. Sums live in a dense per-parameter
+/// array. Which parameters were touched is kept in a two-level bitmap
+/// (one bit per parameter, one summary bit per 64-parameter word), so
+/// Finish walks the touched parameters in ascending order without a sort
+/// and resets only their entries. Each parameter's sum receives its
+/// additions in call order starting from 0.0, so the result does not
+/// depend on how the terms are stored. Construction allocates
+/// O(num_params); Add and Finish allocate only the returned list. One
+/// accumulator serves one thread at a time.
+class TermAccumulator {
+ public:
+  explicit TermAccumulator(int32_t num_params)
+      : sums_(static_cast<size_t>(num_params), 0.0),
+        words_((static_cast<size_t>(num_params) + 63) / 64, 0),
+        summary_((words_.size() + 63) / 64, 0) {}
+
+  void Add(ParamId param, double coeff) {
+    const size_t p = static_cast<size_t>(param);
+    const size_t word = p / 64;
+    const size_t block = word / 64;
+    words_[word] |= uint64_t{1} << (p % 64);
+    summary_[block] |= uint64_t{1} << (word % 64);
+    if (block < first_block_) first_block_ = block;
+    if (block >= end_block_) end_block_ = block + 1;
+    sums_[p] += coeff;
+  }
+
+  void AddAll(const std::vector<ParamTerm>& terms) {
+    for (const ParamTerm& t : terms) Add(t.param, t.coeff);
+  }
+
+  /// Returns the merged terms added since the last Finish and resets.
+  std::vector<ParamTerm> Finish();
+
+ private:
+  std::vector<double> sums_;
+  /// Bit p % 64 of words_[p / 64] is set once parameter p is touched.
+  std::vector<uint64_t> words_;
+  /// Bit w % 64 of summary_[w / 64] is set once words_[w] is non-zero.
+  std::vector<uint64_t> summary_;
+  /// The summary words [first_block_, end_block_) hold every set bit.
+  size_t first_block_ = SIZE_MAX;
+  size_t end_block_ = 0;
+};
+
 /// Compiles the posterior expressions of one object from its claim list
 /// and candidate domain — the per-object inner step of Compile(), exposed
 /// so DeltaCompile can recompile exactly the touched rows. Because full
@@ -120,11 +166,14 @@ Result<CompiledModel> Compile(const Dataset& dataset,
 /// `model` supplies the structural context (config, parameter layout, and
 /// the per-source sigma-term expressions); `copy_pair_index` maps a packed
 /// `min_source * num_sources + max_source` key to the copy-parameter index
-/// (pass an empty map when the copying extension is off).
+/// (pass an empty map when the copying extension is off). `acc` is the
+/// caller's scratch, sized to `model.layout.num_params` and reused across
+/// rows.
 CompiledObject CompileObjectRow(
     ObjectId object, const std::vector<SourceClaim>& claims,
     const std::vector<ValueId>& domain, const CompiledModel& model,
-    const std::unordered_map<int64_t, int32_t>& copy_pair_index);
+    const std::unordered_map<int64_t, int32_t>& copy_pair_index,
+    TermAccumulator* acc);
 
 }  // namespace slimfast
 

@@ -68,6 +68,9 @@ void FlattenInstance(CompiledInstance* instance) {
   // value's domain index is resolved once here so per-iteration walks
   // never binary-search.
   instance->claim_begin.reserve(num_rows + 1);
+  const size_t num_claims = static_cast<size_t>(store.num_observations());
+  instance->claim_sources.reserve(num_claims);
+  instance->claim_cand.reserve(num_claims);
   instance->claim_begin.push_back(0);
   instance->truth_cand.reserve(num_rows);
   for (const CompiledObject& row : model.objects) {
@@ -172,23 +175,34 @@ Result<std::shared_ptr<const CompiledInstance>> DeltaCompile(
   std::sort(recompile.begin(), recompile.end());
   recompile.erase(std::unique(recompile.begin(), recompile.end()),
                   recompile.end());
+  // One shard per thread, so each shard's scratch (an O(num_params)
+  // TermAccumulator plus the claim and domain buffers) is allocated once
+  // per call rather than once per row.
   std::vector<CompiledObject> rows(recompile.size());
   const std::unordered_map<int64_t, int32_t> no_copy_pairs;
-  ParallelFor(exec, static_cast<int64_t>(recompile.size()), [&](int64_t i) {
-    ObjectId o = recompile[static_cast<size_t>(i)];
-    IndexRange range = store.ObjectRange(o);
+  const std::vector<ShardRange> shards =
+      StaticShards(static_cast<int64_t>(recompile.size()),
+                   exec == nullptr ? 1 : exec->threads());
+  RunSharded(exec, static_cast<int32_t>(shards.size()), [&](int32_t s) {
+    TermAccumulator acc(base_model.layout.num_params);
     std::vector<SourceClaim> claims;
-    claims.reserve(static_cast<size_t>(range.size()));
-    for (int64_t c = range.begin; c < range.end; ++c) {
-      claims.push_back(SourceClaim{store.sources()[static_cast<size_t>(c)],
-                                   store.values()[static_cast<size_t>(c)]});
+    std::vector<ValueId> domain;
+    const ShardRange& shard = shards[static_cast<size_t>(s)];
+    for (int64_t i = shard.begin; i < shard.end; ++i) {
+      ObjectId o = recompile[static_cast<size_t>(i)];
+      IndexRange range = store.ObjectRange(o);
+      claims.clear();
+      for (int64_t c = range.begin; c < range.end; ++c) {
+        claims.push_back(
+            SourceClaim{store.sources()[static_cast<size_t>(c)],
+                        store.values()[static_cast<size_t>(c)]});
+      }
+      IndexRange domain_range = store.DomainRange(o);
+      domain.assign(store.domain_values().begin() + domain_range.begin,
+                    store.domain_values().begin() + domain_range.end);
+      rows[static_cast<size_t>(i)] = CompileObjectRow(
+          o, claims, domain, base_model, no_copy_pairs, &acc);
     }
-    IndexRange domain_range = store.DomainRange(o);
-    std::vector<ValueId> domain(
-        store.domain_values().begin() + domain_range.begin,
-        store.domain_values().begin() + domain_range.end);
-    rows[static_cast<size_t>(i)] =
-        CompileObjectRow(o, claims, domain, base_model, no_copy_pairs);
   });
 
   // Assemble the new row list in ObjectId order: recompiled rows splice in

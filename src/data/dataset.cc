@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace slimfast {
@@ -83,13 +84,35 @@ Status DatasetBuilder::AddObservation(ObjectId object, SourceId source,
   }
   int64_t key =
       static_cast<int64_t>(object) * num_sources_ + static_cast<int64_t>(source);
-  if (!seen_pairs_.insert(key).second) {
+  if (!InsertPair(key)) {
     return Status::AlreadyExists(
         "duplicate observation for object " + std::to_string(object) +
         " by source " + std::to_string(source));
   }
   observations_.push_back(Observation{object, source, value});
   return Status::OK();
+}
+
+bool DatasetBuilder::InsertPair(int64_t key) {
+  if (2 * (num_pairs_ + 1) > static_cast<int64_t>(pair_slots_.size())) {
+    std::vector<int64_t> old = std::move(pair_slots_);
+    pair_slots_.assign(std::max<size_t>(64, 2 * old.size()), 0);
+    num_pairs_ = 0;
+    for (int64_t stored : old) {
+      if (stored != 0) InsertPair(stored - 1);
+    }
+  }
+  const size_t mask = pair_slots_.size() - 1;
+  const int64_t stored = key + 1;
+  for (size_t i = SplitMix64(static_cast<uint64_t>(key)) & mask;;
+       i = (i + 1) & mask) {
+    if (pair_slots_[i] == stored) return false;
+    if (pair_slots_[i] == 0) {
+      pair_slots_[i] = stored;
+      ++num_pairs_;
+      return true;
+    }
+  }
 }
 
 Status DatasetBuilder::SetTruth(ObjectId object, ValueId value) {
@@ -115,23 +138,39 @@ Result<Dataset> DatasetBuilder::Build() && {
   dataset.truth_ = std::move(truth_);
   dataset.features_ = std::move(features_);
 
+  // Size every index vector before filling it, so each allocates once.
+  std::vector<int64_t> object_claims(static_cast<size_t>(num_objects_), 0);
+  std::vector<int64_t> source_claims(static_cast<size_t>(num_sources_), 0);
+  for (const Observation& obs : dataset.observations_) {
+    ++object_claims[static_cast<size_t>(obs.object)];
+    ++source_claims[static_cast<size_t>(obs.source)];
+  }
   dataset.by_object_.resize(static_cast<size_t>(num_objects_));
   dataset.by_source_.resize(static_cast<size_t>(num_sources_));
-  dataset.domains_.resize(static_cast<size_t>(num_objects_));
+  for (size_t o = 0; o < object_claims.size(); ++o) {
+    dataset.by_object_[o].reserve(static_cast<size_t>(object_claims[o]));
+  }
+  for (size_t s = 0; s < source_claims.size(); ++s) {
+    dataset.by_source_[s].reserve(static_cast<size_t>(source_claims[s]));
+  }
   for (const Observation& obs : dataset.observations_) {
     dataset.by_object_[static_cast<size_t>(obs.object)].push_back(
         SourceClaim{obs.source, obs.value});
     dataset.by_source_[static_cast<size_t>(obs.source)].push_back(
         ObjectClaim{obs.object, obs.value});
   }
+  dataset.domains_.resize(static_cast<size_t>(num_objects_));
+  std::vector<ValueId> values;
   for (ObjectId o = 0; o < num_objects_; ++o) {
-    auto& domain = dataset.domains_[static_cast<size_t>(o)];
+    values.clear();
     for (const SourceClaim& claim :
          dataset.by_object_[static_cast<size_t>(o)]) {
-      domain.push_back(claim.value);
+      values.push_back(claim.value);
     }
-    std::sort(domain.begin(), domain.end());
-    domain.erase(std::unique(domain.begin(), domain.end()), domain.end());
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    dataset.domains_[static_cast<size_t>(o)].assign(values.begin(),
+                                                    values.end());
   }
   for (ObjectId o = 0; o < num_objects_; ++o) {
     if (dataset.truth_[static_cast<size_t>(o)] != kNoValue) {

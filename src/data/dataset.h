@@ -1,8 +1,8 @@
 #ifndef SLIMFAST_DATA_DATASET_H_
 #define SLIMFAST_DATA_DATASET_H_
 
+#include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -113,7 +113,11 @@ class DatasetBuilder {
                  int32_t num_values);
 
   /// Records that `source` claims `value` for `object`. Fails on invalid
-  /// ids or on a duplicate (source, object) pair.
+  /// ids (OutOfRange) or on a duplicate (source, object) pair
+  /// (AlreadyExists). Duplicates are found in a flat open-addressing hash
+  /// set of the packed pair `object * num_sources + source`, probed
+  /// linearly from its SplitMix64 hash and kept at most half full, so an
+  /// insert allocates nothing except when the set doubles.
   Status AddObservation(ObjectId object, SourceId source, ValueId value);
 
   /// Declares the ground-truth value of `object`.
@@ -130,14 +134,19 @@ class DatasetBuilder {
   Result<Dataset> Build() &&;
 
  private:
+  /// Inserts a packed (object, source) key; false if it was present.
+  bool InsertPair(int64_t key);
+
   std::string name_;
   int32_t num_sources_;
   int32_t num_objects_;
   int32_t num_values_;
   std::vector<Observation> observations_;
   std::vector<ValueId> truth_;
-  // Duplicate detection for (object, source) pairs.
-  std::unordered_set<int64_t> seen_pairs_;
+  // Duplicate detection for (object, source) pairs: slots hold key + 1,
+  // 0 marks an empty slot; the size is zero or a power of two.
+  std::vector<int64_t> pair_slots_;
+  int64_t num_pairs_ = 0;
   FeatureSpace features_;
 };
 

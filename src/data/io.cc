@@ -1,10 +1,11 @@
 #include "data/io.h"
 
-#include <cerrno>
+#include <cctype>
+#include <charconv>
 #include <cstdint>
-#include <cstdlib>
-#include <limits>
 #include <string>
+#include <system_error>
+#include <vector>
 
 #include "util/csv.h"
 
@@ -12,24 +13,34 @@ namespace slimfast {
 
 namespace {
 
-/// Parses a base-10 id or count of `file`. Every id and count of a
-/// dataset is an int32, so a literal outside that range (including one
-/// that overflows strtoll) is InvalidArgument rather than a wrapped id.
+/// Parses a base-10 id or count of `file`: optional leading whitespace,
+/// an optional `+` or `-`, then digits and nothing after. Every id and
+/// count of a dataset is an int32, so a literal outside that range is
+/// InvalidArgument rather than a wrapped id.
 Result<int32_t> ParseInt(const std::string& text, const char* file) {
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') {
+  const char* first = text.data();
+  const char* const last = text.data() + text.size();
+  while (first != last && std::isspace(static_cast<unsigned char>(*first))) {
+    ++first;
+  }
+  // from_chars takes a `-` but no `+`; a `+` must be followed by a digit
+  // ("+-1" is not a number).
+  if (first != last && *first == '+' && last - first > 1 &&
+      std::isdigit(static_cast<unsigned char>(first[1]))) {
+    ++first;
+  }
+  int32_t value = 0;
+  const auto [end, ec] = std::from_chars(first, last, value);
+  if (ec == std::errc::invalid_argument || end != last) {
     return Status::InvalidArgument(std::string(file) +
                                    ": cannot parse integer from '" + text +
                                    "'");
   }
-  if (errno == ERANGE || value < std::numeric_limits<int32_t>::min() ||
-      value > std::numeric_limits<int32_t>::max()) {
+  if (ec == std::errc::result_out_of_range) {
     return Status::InvalidArgument(std::string(file) + ": '" + text +
                                    "' is outside the int32 range");
   }
-  return static_cast<int32_t>(value);
+  return value;
 }
 
 }  // namespace
@@ -97,57 +108,73 @@ Result<Dataset> LoadDataset(const std::string& dir) {
 
   DatasetBuilder builder(meta_row[0], num_sources, num_objects, num_values);
 
-  SLIMFAST_ASSIGN_OR_RETURN(CsvTable obs,
-                            CsvTable::ReadFile(dir + "/observations.csv"));
-  for (const auto& row : obs.rows()) {
-    if (row.size() != 3) {
-      return Status::InvalidArgument("malformed observations.csv row");
-    }
-    SLIMFAST_ASSIGN_OR_RETURN(ObjectId object,
-                              ParseInt(row[0], "observations.csv"));
-    SLIMFAST_ASSIGN_OR_RETURN(SourceId source,
-                              ParseInt(row[1], "observations.csv"));
-    SLIMFAST_ASSIGN_OR_RETURN(ValueId value,
-                              ParseInt(row[2], "observations.csv"));
-    SLIMFAST_RETURN_NOT_OK(builder.AddObservation(object, source, value));
-  }
+  // The data files stream row by row, so a file with several defects
+  // reports the first one in file order.
+  SLIMFAST_RETURN_NOT_OK(CsvTable::ForEachRowInFile(
+      dir + "/observations.csv",
+      [&builder](const std::vector<std::string>& row) -> Status {
+        if (row.size() != 3) {
+          return Status::InvalidArgument("malformed observations.csv row");
+        }
+        SLIMFAST_ASSIGN_OR_RETURN(ObjectId object,
+                                  ParseInt(row[0], "observations.csv"));
+        SLIMFAST_ASSIGN_OR_RETURN(SourceId source,
+                                  ParseInt(row[1], "observations.csv"));
+        SLIMFAST_ASSIGN_OR_RETURN(ValueId value,
+                                  ParseInt(row[2], "observations.csv"));
+        return builder.AddObservation(object, source, value);
+      }));
 
-  SLIMFAST_ASSIGN_OR_RETURN(CsvTable truth,
-                            CsvTable::ReadFile(dir + "/truth.csv"));
-  for (const auto& row : truth.rows()) {
-    if (row.size() != 2) {
-      return Status::InvalidArgument("malformed truth.csv row");
-    }
-    SLIMFAST_ASSIGN_OR_RETURN(ObjectId object, ParseInt(row[0], "truth.csv"));
-    SLIMFAST_ASSIGN_OR_RETURN(ValueId value, ParseInt(row[1], "truth.csv"));
-    SLIMFAST_RETURN_NOT_OK(builder.SetTruth(object, value));
-  }
+  SLIMFAST_RETURN_NOT_OK(CsvTable::ForEachRowInFile(
+      dir + "/truth.csv",
+      [&builder](const std::vector<std::string>& row) -> Status {
+        if (row.size() != 2) {
+          return Status::InvalidArgument("malformed truth.csv row");
+        }
+        SLIMFAST_ASSIGN_OR_RETURN(ObjectId object,
+                                  ParseInt(row[0], "truth.csv"));
+        SLIMFAST_ASSIGN_OR_RETURN(ValueId value,
+                                  ParseInt(row[1], "truth.csv"));
+        return builder.SetTruth(object, value);
+      }));
 
-  SLIMFAST_ASSIGN_OR_RETURN(CsvTable features,
-                            CsvTable::ReadFile(dir + "/features.csv"));
-  for (const auto& row : features.rows()) {
-    if (row.size() != 2) {
-      return Status::InvalidArgument("malformed features.csv row");
-    }
-    // Registration order preserves ids because feature_id rows are written
-    // in ascending order.
-    builder.mutable_features()->RegisterFeature(row[1]);
-  }
+  // Feature ids are positional: row i must carry id i and a new name, or
+  // source_features.csv would bind sources to the wrong features.
+  FeatureSpace* features = builder.mutable_features();
+  SLIMFAST_RETURN_NOT_OK(CsvTable::ForEachRowInFile(
+      dir + "/features.csv",
+      [features](const std::vector<std::string>& row) -> Status {
+        if (row.size() != 2) {
+          return Status::InvalidArgument("malformed features.csv row");
+        }
+        SLIMFAST_ASSIGN_OR_RETURN(FeatureId id,
+                                  ParseInt(row[0], "features.csv"));
+        const FeatureId expected = features->num_features();
+        if (id != expected) {
+          return Status::InvalidArgument(
+              "features.csv: feature_id " + std::to_string(id) +
+              " where " + std::to_string(expected) +
+              " was expected (ids must run 0, 1, 2, ... in row order)");
+        }
+        if (features->RegisterFeature(row[1]) != expected) {
+          return Status::InvalidArgument("features.csv: feature name '" +
+                                         row[1] + "' is repeated");
+        }
+        return Status::OK();
+      }));
 
-  SLIMFAST_ASSIGN_OR_RETURN(
-      CsvTable source_features,
-      CsvTable::ReadFile(dir + "/source_features.csv"));
-  for (const auto& row : source_features.rows()) {
-    if (row.size() != 2) {
-      return Status::InvalidArgument("malformed source_features.csv row");
-    }
-    SLIMFAST_ASSIGN_OR_RETURN(SourceId source,
-                              ParseInt(row[0], "source_features.csv"));
-    SLIMFAST_ASSIGN_OR_RETURN(FeatureId feature,
-                              ParseInt(row[1], "source_features.csv"));
-    SLIMFAST_RETURN_NOT_OK(
-        builder.mutable_features()->SetFeature(source, feature));
-  }
+  SLIMFAST_RETURN_NOT_OK(CsvTable::ForEachRowInFile(
+      dir + "/source_features.csv",
+      [features](const std::vector<std::string>& row) -> Status {
+        if (row.size() != 2) {
+          return Status::InvalidArgument("malformed source_features.csv row");
+        }
+        SLIMFAST_ASSIGN_OR_RETURN(SourceId source,
+                                  ParseInt(row[0], "source_features.csv"));
+        SLIMFAST_ASSIGN_OR_RETURN(FeatureId feature,
+                                  ParseInt(row[1], "source_features.csv"));
+        return features->SetFeature(source, feature);
+      }));
 
   return std::move(builder).Build();
 }

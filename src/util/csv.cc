@@ -83,11 +83,10 @@ Status CsvTable::WriteFile(const std::string& path) const {
 
 namespace {
 
-/// One parsed record plus the 1-based line it started on.
-struct ParsedRow {
-  std::vector<std::string> fields;
-  size_t line_no = 0;
-};
+/// True for the characters that end a run of plain field text.
+bool IsCsvSpecial(char c) {
+  return c == '"' || c == ',' || c == '\n' || c == '\r';
+}
 
 /// Character-level CSV record reader (RFC 4180 plus the historical lenient
 /// rules): `"`-quoted fields may embed commas, newlines, and `""`-escaped
@@ -95,11 +94,19 @@ struct ParsedRow {
 /// outer whitespace of a row (leading on the first unquoted field,
 /// trailing on the last) is trimmed, preserving interior and quoted
 /// whitespace exactly. Trailing empty columns survive ("a,b," has three
-/// fields).
-Result<std::vector<ParsedRow>> ParseRows(const std::string& text) {
-  std::vector<ParsedRow> rows;
+/// fields). Calls `on_record(fields, line_no)` for each record, with the
+/// 1-based line it started on, and stops at the first non-OK status. The
+/// field strings are reused from record to record, so their buffers are
+/// allocated once per column rather than once per field.
+template <typename OnRecord>
+Status ParseRecords(std::string_view text, OnRecord&& on_record) {
+  // fields[0, num_fields) hold the finished fields of the current record
+  // and fields[num_fields] is the one being built, so a record of the
+  // previous record's width reuses every buffer and the vector handed to
+  // `on_record` needs no resize.
   std::vector<std::string> fields;
-  std::string field;
+  size_t num_fields = 0;
+  std::string* field = nullptr;
   // Whether the field being built was quoted (quoted fields are exempt
   // from edge trimming and cannot be blank-line filler).
   bool field_quoted = false;
@@ -109,16 +116,22 @@ Result<std::vector<ParsedRow>> ParseRows(const std::string& text) {
   size_t line_no = 1;
   size_t row_start_line = 1;
 
-  auto end_field = [&]() {
-    if (fields.empty()) first_field_quoted = field_quoted;
-    last_field_quoted = field_quoted;
-    fields.push_back(std::move(field));
-    field.clear();
+  auto begin_field = [&]() {
+    if (num_fields == fields.size()) fields.emplace_back();
+    field = &fields[num_fields];
+    field->clear();
     field_quoted = false;
   };
-  auto end_row = [&]() {
+  auto end_field = [&]() {
+    if (num_fields == 0) first_field_quoted = field_quoted;
+    last_field_quoted = field_quoted;
+    ++num_fields;
+  };
+  auto end_row = [&]() -> Status {
+    Status st = Status::OK();
     if (row_has_content) {
       end_field();
+      if (fields.size() != num_fields) fields.resize(num_fields);
       // Historical lenient trimming: the row's outer whitespace belongs to
       // the line, not the data. Quoted fields keep every character.
       if (!first_field_quoted) {
@@ -128,7 +141,7 @@ Result<std::vector<ParsedRow>> ParseRows(const std::string& text) {
                std::isspace(static_cast<unsigned char>(first[begin]))) {
           ++begin;
         }
-        first.erase(0, begin);
+        if (begin > 0) first.erase(0, begin);
       }
       if (!last_field_quoted) {
         std::string& last = fields.back();
@@ -137,48 +150,55 @@ Result<std::vector<ParsedRow>> ParseRows(const std::string& text) {
                std::isspace(static_cast<unsigned char>(last[end - 1]))) {
           --end;
         }
-        last.resize(end);
+        if (end < last.size()) last.resize(end);
       }
       // A row that collapses to one empty unquoted field is a blank line;
       // an explicitly quoted empty field ("") is data.
       if (fields.size() != 1 || !fields.front().empty() ||
           first_field_quoted) {
-        rows.push_back(ParsedRow{std::move(fields), row_start_line});
+        st = on_record(fields, row_start_line);
       }
     }
-    fields.clear();
-    field.clear();
-    field_quoted = false;
+    num_fields = 0;
+    begin_field();
     first_field_quoted = false;
     last_field_quoted = false;
     row_has_content = false;
     row_start_line = line_no;
+    return st;
   };
 
+  begin_field();
   size_t i = 0;
   const size_t n = text.size();
   while (i < n) {
     char c = text[i];
-    if (c == '"' && field.empty() && !field_quoted) {
+    if (c == '"' && field->empty() && !field_quoted) {
       // Opening quote: consume through the matching close, unescaping "".
       field_quoted = true;
       row_has_content = true;
       ++i;
       bool closed = false;
       while (i < n) {
-        if (text[i] == '"') {
-          if (i + 1 < n && text[i + 1] == '"') {
-            field.push_back('"');
-            i += 2;
-            continue;
-          }
+        size_t run = i;
+        while (run < n && text[run] != '"' && text[run] != '\n') ++run;
+        field->append(text.data() + i, run - i);
+        i = run;
+        if (i == n) break;
+        if (text[i] == '\n') {
+          ++line_no;
+          field->push_back('\n');
           ++i;
-          closed = true;
-          break;
+          continue;
         }
-        if (text[i] == '\n') ++line_no;
-        field.push_back(text[i]);
+        if (i + 1 < n && text[i + 1] == '"') {
+          field->push_back('"');
+          i += 2;
+          continue;
+        }
         ++i;
+        closed = true;
+        break;
       }
       if (!closed) {
         return Status::InvalidArgument(
@@ -189,6 +209,7 @@ Result<std::vector<ParsedRow>> ParseRows(const std::string& text) {
     }
     if (c == ',') {
       end_field();
+      begin_field();
       row_has_content = true;  // "a," and even "," have two fields
       ++i;
       continue;
@@ -197,43 +218,81 @@ Result<std::vector<ParsedRow>> ParseRows(const std::string& text) {
       if (c == '\r' && i + 1 < n && text[i + 1] == '\n') ++i;  // CRLF
       ++i;
       ++line_no;
-      end_row();
+      SLIMFAST_RETURN_NOT_OK(end_row());
       continue;
     }
-    field.push_back(c);
+    // A run of plain characters (a `"` here is literal: the field already
+    // has content or was quoted) is copied in one append.
+    size_t run = i + 1;
+    while (run < n && !IsCsvSpecial(text[run])) ++run;
+    field->append(text.data() + i, run - i);
     row_has_content = true;
-    ++i;
+    i = run;
   }
-  end_row();  // final record without trailing newline
-  return rows;
+  return end_row();  // final record without trailing newline
 }
 
-}  // namespace
-
-Result<CsvTable> CsvTable::Parse(const std::string& text) {
-  SLIMFAST_ASSIGN_OR_RETURN(std::vector<ParsedRow> rows, ParseRows(text));
-  if (rows.empty()) {
-    return Status::InvalidArgument("empty CSV input");
-  }
-  CsvTable table(std::move(rows.front().fields));
-  for (size_t r = 1; r < rows.size(); ++r) {
-    Status st = table.AppendRow(std::move(rows[r].fields));
-    if (!st.ok()) {
-      return Status::InvalidArgument(
-          "line " + std::to_string(rows[r].line_no) + ": " + st.message());
-    }
-  }
-  return table;
-}
-
-Result<CsvTable> CsvTable::ReadFile(const std::string& path) {
+Result<std::string> ReadText(const std::string& path) {
   std::ifstream file(path);
   if (!file) {
     return Status::IOError("cannot open '" + path + "' for reading");
   }
   std::ostringstream buffer;
   buffer << file.rdbuf();
-  return Parse(buffer.str());
+  return std::move(buffer).str();
+}
+
+}  // namespace
+
+Status CsvTable::ForEachRow(std::string_view text, const RowVisitor& visit,
+                            std::vector<std::string>* header) {
+  bool have_header = false;
+  size_t width = 0;
+  SLIMFAST_RETURN_NOT_OK(ParseRecords(
+      text,
+      [&](const std::vector<std::string>& fields, size_t line_no) -> Status {
+        if (!have_header) {
+          have_header = true;
+          width = fields.size();
+          if (header != nullptr) *header = fields;
+          return Status::OK();
+        }
+        if (fields.size() != width) {
+          return Status::InvalidArgument(
+              "line " + std::to_string(line_no) + ": row width " +
+              std::to_string(fields.size()) +
+              " does not match header width " + std::to_string(width));
+        }
+        return visit(fields);
+      }));
+  if (!have_header) {
+    return Status::InvalidArgument("empty CSV input");
+  }
+  return Status::OK();
+}
+
+Status CsvTable::ForEachRowInFile(const std::string& path,
+                                  const RowVisitor& visit,
+                                  std::vector<std::string>* header) {
+  SLIMFAST_ASSIGN_OR_RETURN(std::string text, ReadText(path));
+  return ForEachRow(text, visit, header);
+}
+
+Result<CsvTable> CsvTable::Parse(const std::string& text) {
+  CsvTable table;
+  SLIMFAST_RETURN_NOT_OK(ForEachRow(
+      text,
+      [&table](const std::vector<std::string>& row) {
+        table.rows_.push_back(row);
+        return Status::OK();
+      },
+      &table.header_));
+  return table;
+}
+
+Result<CsvTable> CsvTable::ReadFile(const std::string& path) {
+  SLIMFAST_ASSIGN_OR_RETURN(std::string text, ReadText(path));
+  return Parse(text);
 }
 
 }  // namespace slimfast

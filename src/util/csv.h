@@ -1,7 +1,9 @@
 #ifndef SLIMFAST_UTIL_CSV_H_
 #define SLIMFAST_UTIL_CSV_H_
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -20,8 +22,16 @@ namespace slimfast {
 /// exactly the fields that need it. Unquoted fields keep the historical
 /// lenient behavior (outer whitespace of a row is trimmed, blank lines are
 /// skipped).
+///
+/// There is one parser: ForEachRow walks the rows of CSV text through a
+/// callback, reusing one set of field buffers for every row, so a reader
+/// that consumes rows as they come (LoadDataset) allocates nothing per
+/// row. Parse and ReadFile are built on it and store the rows instead.
 class CsvTable {
  public:
+  /// Receives one data row; its fields are valid only during the call.
+  using RowVisitor = std::function<Status(const std::vector<std::string>&)>;
+
   CsvTable() = default;
 
   /// Creates a table with the given column names.
@@ -44,6 +54,20 @@ class CsvTable {
 
   /// Writes the table to `path`.
   Status WriteFile(const std::string& path) const;
+
+  /// Walks CSV text whose first row is the header: calls `visit` on each
+  /// data row in order, after checking that its width matches the
+  /// header's ("line N: row width ..." otherwise). Stops at and returns the
+  /// first non-OK status, whether the parser's or the callback's. Empty
+  /// input (no header row) is InvalidArgument. When `header` is non-null
+  /// it receives the header row before the first data row is visited.
+  static Status ForEachRow(std::string_view text, const RowVisitor& visit,
+                           std::vector<std::string>* header = nullptr);
+
+  /// Reads `path` and walks its rows with ForEachRow.
+  static Status ForEachRowInFile(const std::string& path,
+                                 const RowVisitor& visit,
+                                 std::vector<std::string>* header = nullptr);
 
   /// Parses CSV text (first line is the header).
   static Result<CsvTable> Parse(const std::string& text);

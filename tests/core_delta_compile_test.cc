@@ -69,6 +69,23 @@ TEST(DeltaCompileTest, MatchesFullRecompileForAllPresets) {
   }
 }
 
+// Batches large enough that the four pool threads compile their shards
+// at the same time, so a thread sanitizer build sees any scratch state the
+// shards share (the small instances above finish each shard before the
+// next one starts).
+TEST(DeltaCompileTest, LargeBatchesOnFourThreadsMatchFullRecompile) {
+  const std::vector<double> planted = {0.92, 0.85, 0.7,  0.6,
+                                       0.55, 0.8,  0.75, 0.65};
+  Dataset dataset = MakePlantedDataset(planted, 4000, 0.5, 23, 3);
+  ModelConfig config;
+  std::shared_ptr<const CompiledInstance> full =
+      CompileInstance(dataset, config).ValueOrDie();
+  ExecOptions exec_options;
+  exec_options.threads = 4;
+  Executor exec(exec_options);
+  EXPECT_TRUE(BitwiseEqual(*DeltaChain(dataset, config, 2, &exec), *full));
+}
+
 TEST(DeltaCompileTest, AnyChunkingYieldsTheSameInstance) {
   const std::vector<double> planted = {0.9, 0.8, 0.65, 0.6};
   Dataset dataset = MakePlantedDataset(planted, 70, 0.45, 41, 3);

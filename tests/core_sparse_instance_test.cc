@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/model.h"
+#include "synth/synthetic.h"
 #include "test_util.h"
+#include "util/hash.h"
 
 namespace slimfast {
 namespace {
@@ -78,6 +83,106 @@ TEST(CompiledInstanceTest, FlattensCompiledModelExactly) {
                                  : -1;
     EXPECT_EQ(instance->truth_cand[r], expected_truth);
   }
+}
+
+/// Order-sensitive hash of everything CompileInstance produces except the
+/// store (whose own fingerprint covers it): the parameter layout, every
+/// nested-row term and offset, and every flat CSR array. Doubles are
+/// hashed by their bits, so the golden values below pin compilation to
+/// the last bit.
+class CompileDigest {
+ public:
+  void Add(uint64_t v) { h_ = HashCombine(h_, v); }
+  void Add(int64_t v) { Add(static_cast<uint64_t>(v)); }
+  void Add(int32_t v) { Add(static_cast<uint64_t>(static_cast<uint32_t>(v))); }
+  void Add(double v) { Add(std::bit_cast<uint64_t>(v)); }
+  void Add(const ParamTerm& t) {
+    Add(t.param);
+    Add(t.coeff);
+  }
+  template <typename T>
+  void Add(const std::vector<T>& values) {
+    Add(static_cast<uint64_t>(values.size()));
+    for (const T& v : values) Add(v);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0;
+};
+
+uint64_t DigestOf(const CompiledInstance& inst) {
+  const CompiledModel& model = *inst.model;
+  CompileDigest d;
+  const ParamLayout& l = model.layout;
+  for (int32_t v : {l.num_params, l.source_offset, l.num_source_params,
+                    l.feature_offset, l.num_feature_params, l.copy_offset,
+                    l.num_copy_params, model.num_sources,
+                    model.num_features}) {
+    d.Add(v);
+  }
+  d.Add(model.sigma_terms);
+  for (const auto& [i, j] : model.copy_pairs) {
+    d.Add(i);
+    d.Add(j);
+  }
+  d.Add(model.object_row);
+  d.Add(static_cast<uint64_t>(model.objects.size()));
+  for (const CompiledObject& row : model.objects) {
+    d.Add(row.object);
+    d.Add(row.domain);
+    d.Add(row.offsets);
+    d.Add(row.terms);
+  }
+  d.Add(inst.row_begin);
+  d.Add(inst.cand_values);
+  d.Add(inst.cand_offsets);
+  d.Add(inst.term_begin);
+  d.Add(inst.terms);
+  d.Add(inst.term_coeff);
+  d.Add(inst.term_param);
+  d.Add(inst.sigma_begin);
+  d.Add(inst.sigma_terms);
+  d.Add(inst.claim_begin);
+  d.Add(inst.claim_sources);
+  d.Add(inst.claim_cand);
+  d.Add(inst.truth_cand);
+  return d.value();
+}
+
+// Golden digests of CompileInstance output, first captured with the
+// std::map term accumulator. A compilation change that keeps every bit
+// keeps these values; a deliberate numeric change re-pins them.
+TEST(CompiledInstanceTest, GoldenCompileDigest) {
+  const std::vector<double> planted = {0.9, 0.75, 0.6, 0.8, 0.55, 0.7};
+  Dataset multiclass = MakePlantedDataset(planted, 300, 0.6, 29, 5);
+  ModelConfig defaults;
+  ModelConfig copying;
+  copying.use_copying_features = true;
+  EXPECT_EQ(DigestOf(*CompileInstance(multiclass, defaults).ValueOrDie()),
+            0x965ad6d44bfb1951ULL);
+  EXPECT_EQ(DigestOf(*CompileInstance(multiclass, copying).ValueOrDie()),
+            0x3d02a340d41f6cb1ULL);
+
+  // Shared feature weights and copy clusters, so sigma expressions merge
+  // terms across sources and copy parameters fire alongside them.
+  SyntheticConfig config;
+  config.num_sources = 40;
+  config.num_objects = 400;
+  config.num_values = 4;
+  config.density = 0.2;
+  config.num_feature_groups = 3;
+  config.values_per_group = 4;
+  config.feature_effect = 0.5;
+  config.num_copy_clusters = 3;
+  config.copy_coobserve = 0.5;
+  Dataset synthetic = GenerateSynthetic(config, 5).ValueOrDie().dataset;
+  ASSERT_GT(synthetic.features().num_features(), 0);
+  auto with_copying = CompileInstance(synthetic, copying).ValueOrDie();
+  ASSERT_GT(with_copying->model->layout.num_copy_params, 0);
+  EXPECT_EQ(DigestOf(*CompileInstance(synthetic, defaults).ValueOrDie()),
+            0x73a137cfed8c440fULL);
+  EXPECT_EQ(DigestOf(*with_copying), 0xbcb15cf2973a5ffcULL);
 }
 
 /// The flat CSR rows the learners walk and the nested rows that

@@ -86,6 +86,20 @@ TEST(DatasetBuilderTest, RejectsDuplicateObservation) {
   EXPECT_TRUE(builder.AddObservation(1, 0, 0).ok());
 }
 
+TEST(DatasetBuilderTest, DuplicatesAreFoundAfterTheSetGrows) {
+  DatasetBuilder builder("t", /*num_sources=*/50, /*num_objects=*/200, 2);
+  for (int32_t i = 0; i < 5000; ++i) {
+    ASSERT_TRUE(builder.AddObservation(i / 50, i % 50, i % 2).ok()) << i;
+  }
+  EXPECT_TRUE(builder.AddObservation(0, 0, 1).IsAlreadyExists());
+  EXPECT_TRUE(builder.AddObservation(99, 49, 0).IsAlreadyExists());
+  EXPECT_TRUE(builder.AddObservation(100, 0, 0).ok());
+  EXPECT_EQ(builder.num_observations(), 5001);
+  Dataset d = std::move(builder).Build().ValueOrDie();
+  EXPECT_EQ(d.ClaimsOnObject(0).size(), 50u);
+  EXPECT_EQ(d.ClaimsBySource(0).size(), 101u);
+}
+
 TEST(DatasetTest, EmpiricalSourceAccuracy) {
   Dataset d = MakeFigure1Dataset();
   // Article 1 (source 0): claims {obj0: 0 correct, obj1: 1 correct} -> 1.0.

@@ -145,5 +145,95 @@ TEST_F(DataIoTest, OutOfRangeIdsAreRejectedNamingTheFile) {
   }
 }
 
+/// What an id field accepts: leading whitespace, an optional sign, then
+/// digits and nothing else. The source column is neither the first nor
+/// the last of its row, so the CSV reader's edge trimming never touches
+/// it and the field reaches the integer parser as written.
+TEST_F(DataIoTest, IdFieldsAcceptWhitespaceAndASignOnly) {
+  auto load_with_source = [this](const std::string& source) {
+    SLIMFAST_CHECK_OK(SaveDataset(MakeRichDataset(), dir_));
+    {
+      std::ofstream out(dir_ + "/observations.csv", std::ios::trunc);
+      out << "object,source,value\n0," << source << ",1\n";
+    }
+    return LoadDataset(dir_);
+  };
+  for (const char* accepted : {" 3", "+3", " +3", "\t3", "0003"}) {
+    SCOPED_TRACE(accepted);
+    auto loaded = load_with_source(accepted);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_EQ(loaded->observations(),
+              (std::vector<Observation>{Observation{0, 3, 1}}));
+  }
+  for (const char* malformed : {"3 ", "3x", "", "0x10", "+-3", "++3", "+",
+                                "-", " ", "3.0"}) {
+    SCOPED_TRACE(malformed);
+    auto loaded = load_with_source(malformed);
+    ASSERT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
+    EXPECT_EQ(loaded.status().message(),
+              std::string("observations.csv: cannot parse integer from '") +
+                  malformed + "'");
+  }
+  for (const char* too_wide : {"2147483648", "-2147483649",
+                               "99999999999999999999"}) {
+    SCOPED_TRACE(too_wide);
+    auto loaded = load_with_source(too_wide);
+    ASSERT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
+    EXPECT_EQ(loaded.status().message(),
+              std::string("observations.csv: '") + too_wide +
+                  "' is outside the int32 range");
+  }
+  // An out-of-range literal with trailing junk is malformed first.
+  auto loaded = load_with_source("99999999999999999999x");
+  EXPECT_EQ(loaded.status().message(),
+            "observations.csv: cannot parse integer from "
+            "'99999999999999999999x'");
+}
+
+/// Feature ids are positional: source_features.csv refers to them by id,
+/// so a features.csv whose ids are out of order, or whose names repeat,
+/// must not load (it used to bind sources to the wrong features).
+TEST_F(DataIoTest, FeatureIdsMustRunInRowOrderWithDistinctNames) {
+  for (const char* content :
+       {"feature_id,name\n1,citations=high\n0,citations=low\n",
+        "feature_id,name\n0,year=2009\n0,citations=high\n",
+        "feature_id,name\n0,year=2009\n2,citations=high\n",
+        "feature_id,name\n0,year=2009\n1,year=2009\n",
+        "feature_id,name\nx,year=2009\n"}) {
+    SCOPED_TRACE(content);
+    ASSERT_TRUE(SaveDataset(MakeRichDataset(), dir_).ok());
+    {
+      std::ofstream out(dir_ + "/features.csv", std::ios::trunc);
+      out << content;
+    }
+    auto loaded = LoadDataset(dir_);
+    ASSERT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
+    EXPECT_NE(loaded.status().message().find("features.csv"),
+              std::string::npos)
+        << loaded.status();
+  }
+}
+
+/// A file with one defect reports it wherever it sits in the file.
+TEST_F(DataIoTest, SingleDefectIsReportedWithItsLine) {
+  ASSERT_TRUE(SaveDataset(MakeRichDataset(), dir_).ok());
+  {
+    std::ofstream out(dir_ + "/observations.csv", std::ios::trunc);
+    out << "object,source,value\n0,0,2\n0,1,1\n1,2\n2,3,2\n";
+  }
+  auto loaded = LoadDataset(dir_);
+  ASSERT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
+  EXPECT_EQ(loaded.status().message(),
+            "line 4: row width 2 does not match header width 3");
+
+  ASSERT_TRUE(SaveDataset(MakeRichDataset(), dir_).ok());
+  {
+    std::ofstream out(dir_ + "/observations.csv", std::ios::trunc);
+    out << "object,source,value\n0,0,2\n0,1,1\n0,0,0\n";
+  }
+  loaded = LoadDataset(dir_);
+  EXPECT_TRUE(loaded.status().IsAlreadyExists()) << loaded.status();
+}
+
 }  // namespace
 }  // namespace slimfast

@@ -191,9 +191,115 @@ TEST(CsvTest, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+/// Rows that reuse a longer field's buffer for a shorter or empty one.
+constexpr char kReusedBuffers[] =
+    "k,v\nlong value here,another long one\nx,\"\"\n  y ,z  \n";
+
+/// Every CsvTest input above, plus inputs whose rows reuse a longer
+/// field's buffer for a shorter or quoted one.
+const std::vector<std::string>& CsvInputs() {
+  static const std::vector<std::string> inputs = {
+      "object,source,value\n0,1,2\n3,4,5\n",
+      "",
+      "a,b\n1\n",
+      "a,b\n1,2\n\n3,4\n",
+      "name,desc\n\"a,b\",plain\nx,\"1,2,3\"\n",
+      "k,v\n\"line1\nline2\",\"say \"\"hi\"\"\"\n",
+      "k,v\n\" padded \",x\n",
+      "k,v\n\"open,x\n",
+      "a,b\r\n1,2\r\n3,4\r\n",
+      "k\r\n\"a\r\nb\"\r\n",
+      "a,b,c\n1,2,\n,,\n",
+      "a,b,c\n1,2\n",
+      "a,b\n1,2",
+      "\n\n",
+      "   \n",
+      "a\n\"\"\nx\n",
+      "k,v\n\" x \",tab\t\n",
+      "k,v\n\"a,b\",plain\n\"say \"\"hi\"\"\",\"line1\nline2\"\n",
+      "k,v\nalpha,1\n",
+      kReusedBuffers,
+      "k,v\n\"q\"tail,\"\"\n,\n",
+  };
+  return inputs;
+}
+
+using Rows = std::vector<std::vector<std::string>>;
+
+/// Walks `text` with ForEachRow, appending every data row to `rows`.
+Status Walk(const std::string& text, Rows* rows,
+            std::vector<std::string>* header = nullptr) {
+  return CsvTable::ForEachRow(
+      text,
+      [rows](const std::vector<std::string>& row) {
+        rows->push_back(row);
+        return Status::OK();
+      },
+      header);
+}
+
+TEST(CsvTest, ForEachRowYieldsTheRowsParseStores) {
+  for (const std::string& text : CsvInputs()) {
+    SCOPED_TRACE(text);
+    std::vector<std::string> header;
+    Rows rows;
+    Status walked = Walk(text, &rows, &header);
+    auto parsed = CsvTable::Parse(text);
+    ASSERT_EQ(walked.ToString(), parsed.status().ToString());
+    if (!parsed.ok()) continue;
+    EXPECT_EQ(header, parsed->header());
+    EXPECT_EQ(rows, parsed->rows());
+  }
+  // The walk reuses its field buffers; no row may see another's bytes.
+  Rows rows;
+  ASSERT_TRUE(Walk(kReusedBuffers, &rows).ok());
+  EXPECT_EQ(rows, (Rows{{"long value here", "another long one"},
+                        {"x", ""},
+                        {"y ", "z"}}));
+}
+
+TEST(CsvTest, ForEachRowReportsTheLineOfARaggedRow) {
+  Rows rows;
+  Status st = Walk("a,b\n1,2\n\n3\n4,5\n", &rows);
+  ASSERT_TRUE(st.IsInvalidArgument()) << st;
+  EXPECT_EQ(st.message(), "line 4: row width 1 does not match header width 2");
+  EXPECT_EQ(rows, (Rows{{"1", "2"}}));
+}
+
+TEST(CsvTest, ForEachRowStopsAtTheCallbacksFirstError) {
+  std::vector<std::string> seen;
+  auto stop_at_b = [&seen](const std::vector<std::string>& row) {
+    seen.push_back(row[0]);
+    return row[0] == "b" ? Status::NotFound("stop at b") : Status::OK();
+  };
+  Status st = CsvTable::ForEachRow("k\na\nb\nc\n", stop_at_b);
+  EXPECT_TRUE(st.IsNotFound()) << st;
+  EXPECT_EQ(st.message(), "stop at b");
+  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(CsvTest, ForEachRowRejectsEmptyInput) {
+  for (const char* text : {"", "\n\n", "  \r\n"}) {
+    Rows rows;
+    Status st = Walk(text, &rows);
+    EXPECT_TRUE(st.IsInvalidArgument()) << st;
+    EXPECT_EQ(st.message(), "empty CSV input");
+    EXPECT_TRUE(rows.empty());
+  }
+  // A header with no data rows is a valid, empty walk.
+  Rows rows;
+  std::vector<std::string> header;
+  EXPECT_TRUE(Walk("a,b\n", &rows, &header).ok());
+  EXPECT_EQ(header, (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(rows.empty());
+}
+
 TEST(CsvTest, ReadMissingFileIsIOError) {
   EXPECT_TRUE(CsvTable::ReadFile("/nonexistent/dir/file.csv")
                   .status()
+                  .IsIOError());
+  auto ignore = [](const std::vector<std::string>&) { return Status::OK(); };
+  EXPECT_TRUE(CsvTable::ForEachRowInFile("/nonexistent/dir/file.csv", ignore)
                   .IsIOError());
 }
 

@@ -272,10 +272,9 @@ Status CsvTable::ForEachRow(std::string_view text, const RowVisitor& visit,
 }
 
 Status CsvTable::ForEachRowInFile(const std::string& path,
-                                  const RowVisitor& visit,
-                                  std::vector<std::string>* header) {
+                                  const RowVisitor& visit) {
   SLIMFAST_ASSIGN_OR_RETURN(std::string text, ReadText(path));
-  return ForEachRow(text, visit, header);
+  return ForEachRow(text, visit);
 }
 
 Result<CsvTable> CsvTable::Parse(const std::string& text) {

@@ -64,10 +64,9 @@ class CsvTable {
   static Status ForEachRow(std::string_view text, const RowVisitor& visit,
                            std::vector<std::string>* header = nullptr);
 
-  /// Reads `path` and walks its rows with ForEachRow.
+  /// Reads `path` and walks its data rows with ForEachRow.
   static Status ForEachRowInFile(const std::string& path,
-                                 const RowVisitor& visit,
-                                 std::vector<std::string>* header = nullptr);
+                                 const RowVisitor& visit);
 
   /// Parses CSV text (first line is the header).
   static Result<CsvTable> Parse(const std::string& text);

@@ -34,8 +34,8 @@ void BM_Compile(benchmark::State& state) {
   auto synth = MakeBenchInstance(static_cast<int32_t>(state.range(0)),
                                  1000, 0.02);
   for (auto _ : state) {
-    auto compiled = Compile(synth.dataset, ModelConfig{}).ValueOrDie();
-    benchmark::DoNotOptimize(compiled.objects.size());
+    auto instance = CompileInstance(synth.dataset, ModelConfig{}).ValueOrDie();
+    benchmark::DoNotOptimize(instance->claim_cand.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           synth.dataset.num_observations());
@@ -44,16 +44,18 @@ BENCHMARK(BM_Compile)->Arg(100)->Arg(500)->Arg(1000);
 
 void BM_PosteriorAllObjects(benchmark::State& state) {
   auto synth = MakeBenchInstance(500, 1000, 0.02);
-  SlimFastModel model(Compile(synth.dataset, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(
+      CompileInstance(synth.dataset, ModelConfig{}).ValueOrDie());
   std::vector<double> probs;
   for (auto _ : state) {
-    for (const CompiledObject& row : model.compiled().objects) {
-      model.Posterior(row, &probs);
+    const std::vector<double> sigma = model.TrustScores();
+    for (ObjectId o = 0; o < synth.dataset.num_objects(); ++o) {
+      model.Posterior(o, sigma, &probs);
       benchmark::DoNotOptimize(probs.data());
     }
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(model.compiled().objects.size()));
+                          synth.dataset.num_objects());
 }
 BENCHMARK(BM_PosteriorAllObjects);
 
@@ -61,9 +63,8 @@ void BM_ErmEpoch(benchmark::State& state) {
   auto synth = MakeBenchInstance(500, 1000, 0.02);
   const Dataset& d = synth.dataset;
   auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
-  SlimFastModel model(instance->model);
-  auto examples = ErmLearner::ObjectExamples(d, model.compiled(),
-                                             d.ObjectsWithTruth());
+  SlimFastModel model(instance);
+  auto examples = ErmLearner::ObjectExamples(*instance, d.ObjectsWithTruth());
   ErmOptions options;
   options.epochs = 1;
   ErmLearner learner(options);
@@ -86,7 +87,7 @@ void BM_EmIteration(benchmark::State& state) {
   options.max_iterations = 1;
   EmLearner learner(options);
   for (auto _ : state) {
-    SlimFastModel model(instance->model);
+    SlimFastModel model(instance);
     Rng rng(1);
     auto stats = learner.Fit(d, {}, &model, &rng, nullptr, instance.get());
     benchmark::DoNotOptimize(stats.ok());

@@ -1,95 +1,89 @@
 #include "core/compiled_instance.h"
 
 #include <algorithm>
+#include <cmath>
+#include <unordered_map>
 #include <utility>
 
-#include "exec/parallel.h"
 #include "util/hash.h"
 
 namespace slimfast {
 
 namespace {
 
-/// Flattens `instance->model` + `instance->store` into the flat CSR
-/// arrays. One linear pass, shared by CompileInstance and DeltaCompile so
-/// both assemble identical bits from identical structure.
-void FlattenInstance(CompiledInstance* instance) {
+/// Derives the scoring arrays of `instance` from its store and parameter
+/// structure. One linear pass over the claims, shared by CompileInstance
+/// and DeltaCompile so both assemble identical bits from identical
+/// claims.
+void DeriveScoring(CompiledInstance* instance) {
   const CompiledModel& model = *instance->model;
   const ObservationStore& store = instance->store;
-  const size_t num_rows = model.objects.size();
+  const int32_t num_objects = store.num_objects();
+  const std::vector<ValueId>& values = store.values();
 
-  // Candidate axis + term CSR.
-  int64_t total_cands = 0;
-  int64_t total_terms = 0;
-  for (const CompiledObject& row : model.objects) {
-    total_cands += static_cast<int64_t>(row.domain.size());
-    for (const auto& cand_terms : row.terms) {
-      total_terms += static_cast<int64_t>(cand_terms.size());
+  instance->claim_cand.resize(static_cast<size_t>(store.num_observations()));
+  instance->cand_offsets.assign(store.domain_values().size(), 0.0);
+  for (ObjectId o = 0; o < num_objects; ++o) {
+    const IndexRange claims = store.ObjectRange(o);
+    const IndexRange cands = store.DomainRange(o);
+    const double claim_offset =
+        (model.config.multiclass_offset && cands.size() > 2)
+            ? std::log(static_cast<double>(cands.size()) - 1.0)
+            : 0.0;
+    for (int64_t i = claims.begin; i < claims.end; ++i) {
+      const int32_t d =
+          store.DomainIndexOf(o, values[static_cast<size_t>(i)]);
+      instance->claim_cand[static_cast<size_t>(i)] = d;
+      instance->cand_offsets[static_cast<size_t>(cands.begin + d)] +=
+          claim_offset;
     }
   }
-  instance->row_begin.reserve(num_rows + 1);
-  instance->cand_values.reserve(static_cast<size_t>(total_cands));
-  instance->cand_offsets.reserve(static_cast<size_t>(total_cands));
-  instance->term_begin.reserve(static_cast<size_t>(total_cands) + 1);
-  instance->terms.reserve(static_cast<size_t>(total_terms));
-  instance->term_coeff.reserve(static_cast<size_t>(total_terms));
-  instance->term_param.reserve(static_cast<size_t>(total_terms));
 
-  instance->row_begin.push_back(0);
-  instance->term_begin.push_back(0);
-  for (const CompiledObject& row : model.objects) {
-    for (size_t di = 0; di < row.domain.size(); ++di) {
-      instance->cand_values.push_back(row.domain[di]);
-      instance->cand_offsets.push_back(row.offsets[di]);
-      instance->terms.insert(instance->terms.end(), row.terms[di].begin(),
-                             row.terms[di].end());
-      for (const ParamTerm& t : row.terms[di]) {
-        instance->term_coeff.push_back(t.coeff);
-        instance->term_param.push_back(t.param);
+  if (!model.config.use_copying_features) return;
+  std::unordered_map<int64_t, int32_t> pair_index;
+  for (size_t c = 0; c < model.copy_pairs.size(); ++c) {
+    const auto& [i, j] = model.copy_pairs[c];
+    pair_index.emplace(static_cast<int64_t>(i) * model.num_sources + j,
+                       static_cast<int32_t>(c));
+  }
+  const std::vector<SourceId>& sources = store.sources();
+  instance->copy_begin.reserve(static_cast<size_t>(num_objects) + 1);
+  instance->copy_begin.push_back(0);
+  for (ObjectId o = 0; o < num_objects; ++o) {
+    const IndexRange claims = store.ObjectRange(o);
+    for (int64_t a = claims.begin; a < claims.end; ++a) {
+      for (int64_t b = a + 1; b < claims.end; ++b) {
+        if (values[static_cast<size_t>(a)] != values[static_cast<size_t>(b)]) {
+          continue;
+        }
+        const SourceId sa = sources[static_cast<size_t>(a)];
+        const SourceId sb = sources[static_cast<size_t>(b)];
+        auto it = pair_index.find(
+            static_cast<int64_t>(std::min(sa, sb)) * model.num_sources +
+            std::max(sa, sb));
+        if (it == pair_index.end()) continue;
+        instance->copy_param.push_back(model.layout.copy_offset + it->second);
+        instance->copy_cand.push_back(
+            instance->claim_cand[static_cast<size_t>(a)]);
       }
-      instance->term_begin.push_back(
-          static_cast<int64_t>(instance->terms.size()));
     }
-    instance->row_begin.push_back(
-        static_cast<int64_t>(instance->cand_values.size()));
-  }
-
-  // Sigma-term CSR.
-  instance->sigma_begin.reserve(model.sigma_terms.size() + 1);
-  instance->sigma_begin.push_back(0);
-  for (const auto& source_terms : model.sigma_terms) {
-    instance->sigma_terms.insert(instance->sigma_terms.end(),
-                                 source_terms.begin(), source_terms.end());
-    instance->sigma_begin.push_back(
-        static_cast<int64_t>(instance->sigma_terms.size()));
-  }
-
-  // Per-row claims (canonical order) and truth targets. The claimed
-  // value's domain index is resolved once here so per-iteration walks
-  // never binary-search.
-  instance->claim_begin.reserve(num_rows + 1);
-  const size_t num_claims = static_cast<size_t>(store.num_observations());
-  instance->claim_sources.reserve(num_claims);
-  instance->claim_cand.reserve(num_claims);
-  instance->claim_begin.push_back(0);
-  instance->truth_cand.reserve(num_rows);
-  for (const CompiledObject& row : model.objects) {
-    IndexRange range = store.ObjectRange(row.object);
-    for (int64_t i = range.begin; i < range.end; ++i) {
-      instance->claim_sources.push_back(
-          store.sources()[static_cast<size_t>(i)]);
-      instance->claim_cand.push_back(
-          row.DomainIndex(store.values()[static_cast<size_t>(i)]));
-    }
-    instance->claim_begin.push_back(
-        static_cast<int64_t>(instance->claim_sources.size()));
-    ValueId truth = store.truth()[static_cast<size_t>(row.object)];
-    instance->truth_cand.push_back(
-        truth == kNoValue ? -1 : row.DomainIndex(truth));
+    instance->copy_begin.push_back(
+        static_cast<int64_t>(instance->copy_param.size()));
   }
 }
 
 }  // namespace
+
+void TrustScores(const CompiledModel& model, const std::vector<double>& w,
+                 std::vector<double>* sigma) {
+  const int64_t num_terms = static_cast<int64_t>(model.sigma_param.size());
+  std::vector<double> prod(static_cast<size_t>(num_terms));
+  simd::TermProducts(model.sigma_coeff.data(), model.sigma_param.data(),
+                     w.data(), prod.data(), num_terms);
+  sigma->resize(static_cast<size_t>(model.num_sources));
+  simd::FoldRanges(model.sigma_begin.data(), model.num_sources, 0,
+                   prod.data(), nullptr, sigma->data());
+}
 
 uint64_t DatasetCompilationFingerprint(const Dataset& dataset) {
   uint64_t h = 0x534c694d46617374ULL;  // "SLiMFast"
@@ -132,115 +126,34 @@ Result<std::shared_ptr<const CompiledInstance>> CompileInstance(
   instance->model =
       std::make_shared<const CompiledModel>(std::move(compiled));
   instance->store = ObservationStore::FromDataset(dataset);
-  FlattenInstance(instance.get());
+  DeriveScoring(instance.get());
   return std::shared_ptr<const CompiledInstance>(std::move(instance));
 }
 
 Result<std::shared_ptr<const CompiledInstance>> DeltaCompile(
-    const CompiledInstance& base, const ObservationBatch& batch,
-    Executor* exec, std::vector<ObjectId>* recompiled_rows) {
-  const CompiledModel& base_model = *base.model;
-  if (base_model.config.use_copying_features) {
+    const CompiledInstance& base, const ObservationBatch& batch) {
+  if (base.model->config.use_copying_features) {
     return Status::NotImplemented(
         "delta compilation does not support the copying extension: "
         "copy-pair selection is a global agreement scan, so a batch can "
         "change the parameter layout itself — recompile from scratch");
   }
-
   SLIMFAST_ASSIGN_OR_RETURN(ObservationStore store,
                             base.store.AppendBatch(batch));
-
-  // Structural context carries over unchanged: new observations cannot
-  // alter the parameter layout (the source/feature universes are fixed at
-  // session start) or the per-source sigma expressions.
-  CompiledModel model;
-  model.config = base_model.config;
-  model.layout = base_model.layout;
-  model.sigma_terms = base_model.sigma_terms;
-  model.copy_pairs = base_model.copy_pairs;
-  model.num_sources = base_model.num_sources;
-  model.num_features = base_model.num_features;
-
-  // Recompile exactly the rows with new claims, sharded across `exec`
-  // (each row writes its own slot, so thread count never changes the
-  // result). Truth-only updates never enter a row's term expressions —
-  // FlattenInstance re-resolves every truth_cand from the new store — so
-  // a labels-only batch recompiles nothing. Untouched rows are copied
-  // bit-for-bit below.
-  std::vector<ObjectId> recompile;
-  recompile.reserve(batch.observations.size());
-  for (const Observation& obs : batch.observations) {
-    recompile.push_back(obs.object);
-  }
-  std::sort(recompile.begin(), recompile.end());
-  recompile.erase(std::unique(recompile.begin(), recompile.end()),
-                  recompile.end());
-  // One shard per thread, so each shard's scratch (an O(num_params)
-  // TermAccumulator plus the claim and domain buffers) is allocated once
-  // per call rather than once per row.
-  std::vector<CompiledObject> rows(recompile.size());
-  const std::unordered_map<int64_t, int32_t> no_copy_pairs;
-  const std::vector<ShardRange> shards =
-      StaticShards(static_cast<int64_t>(recompile.size()),
-                   exec == nullptr ? 1 : exec->threads());
-  RunSharded(exec, static_cast<int32_t>(shards.size()), [&](int32_t s) {
-    TermAccumulator acc(base_model.layout.num_params);
-    std::vector<SourceClaim> claims;
-    std::vector<ValueId> domain;
-    const ShardRange& shard = shards[static_cast<size_t>(s)];
-    for (int64_t i = shard.begin; i < shard.end; ++i) {
-      ObjectId o = recompile[static_cast<size_t>(i)];
-      IndexRange range = store.ObjectRange(o);
-      claims.clear();
-      for (int64_t c = range.begin; c < range.end; ++c) {
-        claims.push_back(
-            SourceClaim{store.sources()[static_cast<size_t>(c)],
-                        store.values()[static_cast<size_t>(c)]});
-      }
-      IndexRange domain_range = store.DomainRange(o);
-      domain.assign(store.domain_values().begin() + domain_range.begin,
-                    store.domain_values().begin() + domain_range.end);
-      rows[static_cast<size_t>(i)] = CompileObjectRow(
-          o, claims, domain, base_model, no_copy_pairs, &acc);
-    }
-  });
-
-  // Assemble the new row list in ObjectId order: recompiled rows splice in
-  // where their object sits, everything else is copied from the base.
-  model.object_row.assign(static_cast<size_t>(store.num_objects()), -1);
-  model.objects.reserve(base_model.objects.size() + rows.size());
-  size_t next_recompiled = 0;
-  for (ObjectId o = 0; o < store.num_objects(); ++o) {
-    if (store.ObjectRange(o).empty()) continue;
-    model.object_row[static_cast<size_t>(o)] =
-        static_cast<int32_t>(model.objects.size());
-    if (next_recompiled < recompile.size() &&
-        recompile[next_recompiled] == o) {
-      model.objects.push_back(std::move(rows[next_recompiled]));
-      ++next_recompiled;
-    } else {
-      const CompiledObject* row = base_model.RowOf(o);
-      model.objects.push_back(*row);
-    }
-  }
-
+  // New claims cannot alter the parameter layout (the source/feature
+  // universes are fixed at session start) or any trust score σ_s.
   auto instance = std::make_shared<CompiledInstance>();
-  instance->model = std::make_shared<const CompiledModel>(std::move(model));
+  instance->model = base.model;
   instance->store = std::move(store);
-  FlattenInstance(instance.get());
-  if (recompiled_rows != nullptr) *recompiled_rows = std::move(recompile);
+  DeriveScoring(instance.get());
   return std::shared_ptr<const CompiledInstance>(std::move(instance));
 }
 
 bool BitwiseEqual(const CompiledInstance& a, const CompiledInstance& b) {
   return *a.model == *b.model && a.store == b.store &&
-         a.row_begin == b.row_begin && a.cand_values == b.cand_values &&
-         a.cand_offsets == b.cand_offsets && a.term_begin == b.term_begin &&
-         a.terms == b.terms && a.term_coeff == b.term_coeff &&
-         a.term_param == b.term_param && a.sigma_begin == b.sigma_begin &&
-         a.sigma_terms == b.sigma_terms && a.claim_begin == b.claim_begin &&
-         a.claim_sources == b.claim_sources &&
-         a.claim_cand == b.claim_cand && a.truth_cand == b.truth_cand;
+         a.claim_cand == b.claim_cand && a.cand_offsets == b.cand_offsets &&
+         a.copy_begin == b.copy_begin && a.copy_param == b.copy_param &&
+         a.copy_cand == b.copy_cand;
 }
 
 CompiledInstanceCache& CompiledInstanceCache::Global() {

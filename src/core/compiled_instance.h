@@ -9,159 +9,138 @@
 #include "core/compilation.h"
 #include "data/observation_store.h"
 #include "simd/simd.h"
-#include "util/math.h"
 #include "util/result.h"
 
 namespace slimfast {
 
-/// The flat, cache-friendly compilation of one (dataset, ModelConfig)
-/// pair: the columnar ObservationStore plus every sparsity pattern the
-/// learners walk per iteration, compiled once and flattened into CSR
-/// arrays.
+/// The compiled form of one (dataset, ModelConfig) pair: the columnar
+/// ObservationStore, the parameter structure with its trust-score CSR
+/// (`model`), and the arrays that turn claims into candidate scores.
 ///
-/// The graph topology and feature sparsity pattern are fixed for a given
-/// dataset, so ERM epochs and EM E-steps only ever re-read this structure
-/// with fresh weights; the learners' per-iteration loops walk only these
-/// flat ranges. `PredictAll`, explain and snapshots read the nested rows
-/// of `model`, which the flat ranges mirror element for element, so both
-/// give bit-identical posteriors (asserted in core_sparse_instance_test).
+/// A candidate's score is its constant offset plus the trust score σ_s of
+/// every source that claims it, plus the copying weights that fire on it
+/// (Eq. 2-4; CandidateScores). The claims are the model: nothing is
+/// expanded per candidate, so every reader computes σ once per pass
+/// (TrustScores) and gathers one σ per claim.
 ///
-/// Index spaces:
-///   rows        [0, num_rows)        — CompiledModel::objects order
-///   candidates  [0, num_candidates)  — rows' domains concatenated;
-///                                      row r owns [row_begin[r], row_begin[r+1])
-///   terms       flat ParamTerm array — candidate c owns
-///                                      [term_begin[c], term_begin[c+1])
+/// Index spaces (all read through `store`):
+///   objects     [0, store.num_objects()) — unobserved objects have empty
+///                                          ranges
+///   claims      store.ObjectRange(o)     — canonical order
+///   candidates  store.DomainRange(o)     — ascending values
 struct CompiledInstance {
-  /// The structural compilation this instance flattens. Shared with every
-  /// SlimFastModel fit against it, so repeated fits never recompile.
+  /// The parameter structure (layout, σ CSR, copy pairs). Shared by every
+  /// instance DeltaCompile derives from this one.
   std::shared_ptr<const CompiledModel> model;
 
   /// Columnar observation store of the source dataset.
   ObservationStore store;
 
-  // --- Candidate axis (flattened CompiledObject domains) ---
-  std::vector<int64_t> row_begin;   ///< size num_rows + 1
-  std::vector<ValueId> cand_values;
-  std::vector<double> cand_offsets;  ///< constant score offsets
-
-  // --- Posterior terms (flattened CompiledObject::terms) ---
-  std::vector<int64_t> term_begin;  ///< size num_candidates + 1
-  std::vector<ParamTerm> terms;
-  /// SoA mirrors of `terms`, split so the SIMD kernels can stream
-  /// coefficients and gather weights without striding over the AoS pairs.
-  /// Filled by the same flattening pass; always element-aligned with
-  /// `terms`.
-  std::vector<double> term_coeff;
-  std::vector<ParamId> term_param;
-
-  // --- Trust-score terms (flattened CompiledModel::sigma_terms) ---
-  std::vector<int64_t> sigma_begin;  ///< size num_sources + 1
-  std::vector<ParamTerm> sigma_terms;
-
-  // --- Per-row claims, in dataset insertion order ---
-  std::vector<int64_t> claim_begin;  ///< size num_rows + 1
-  std::vector<SourceId> claim_sources;
-  /// Candidate index (within the row's domain) of each claimed value.
+  /// Domain index (within its object's candidates) of each claim's value,
+  /// parallel to the store's columns.
   std::vector<int32_t> claim_cand;
 
-  /// Candidate index of the row's ground-truth value, or -1 when the row
-  /// is unlabeled (or its truth was never claimed).
-  std::vector<int32_t> truth_cand;
+  /// Constant score offset per candidate, parallel to
+  /// store.domain_values(): the multiclass correction count(d) ·
+  /// log(|D_o| - 1). Equation 2 defines σ_s as the binary log-odds; with
+  /// |D_o| > 2 candidates and wrong values spread uniformly, each claim's
+  /// correct Naive-Bayes vote is log(A_s / ((1 - A_s) / (n - 1))) =
+  /// σ_s + log(n - 1) — the same n factor ACCU uses. Zero for binary
+  /// domains, so the base model is exactly Eq. 4 there.
+  std::vector<double> cand_offsets;
 
-  int32_t num_rows() const {
-    return static_cast<int32_t>(row_begin.size()) - 1;
-  }
-  int64_t num_candidates() const {
-    return static_cast<int64_t>(cand_values.size());
-  }
+  /// Copying extension only (all empty otherwise): object o's copy terms
+  /// are [copy_begin[o], copy_begin[o+1]). A registered pair that agrees
+  /// on candidate copy_cand[t] fires weight copy_param[t] on every *other*
+  /// candidate (Appendix D): a positive weight pushes the posterior away
+  /// from the pair's value, so joint mistakes read as copying rather than
+  /// independent corroboration.
+  std::vector<int64_t> copy_begin;
+  std::vector<ParamId> copy_param;
+  std::vector<int32_t> copy_cand;
 
-  /// Domain size of row `r`.
-  int32_t DomainSize(int32_t r) const {
-    return static_cast<int32_t>(row_begin[static_cast<size_t>(r) + 1] -
-                                row_begin[static_cast<size_t>(r)]);
+  int32_t num_objects() const { return store.num_objects(); }
+
+  /// Number of candidates of `object` (0 when unobserved).
+  int32_t DomainSize(ObjectId object) const {
+    return static_cast<int32_t>(store.DomainRange(object).size());
   }
 };
 
-/// Linear score of global candidate `cand` under weights `w` — the same
-/// lane-stable accumulation as SlimFastModel::ValueScore on the nested
-/// rows and as the batched TermProducts + FoldRanges kernel pipeline.
-inline double SparseValueScore(const CompiledInstance& inst, int64_t cand,
-                               const std::vector<double>& w) {
-  const int64_t begin = inst.term_begin[static_cast<size_t>(cand)];
-  const int64_t n = inst.term_begin[static_cast<size_t>(cand) + 1] - begin;
-  const double* coeff = inst.term_coeff.data() + begin;
-  const ParamId* param = inst.term_param.data() + begin;
-  return inst.cand_offsets[static_cast<size_t>(cand)] +
-         simd::LaneStableSum(n, [&](int64_t i) {
-           return coeff[i] * w[static_cast<size_t>(param[i])];
-         });
+/// σ_s = Σ coeff · w over the trust-score CSR, for every source, through
+/// the TermProducts + FoldRanges kernels. `sigma` is resized to
+/// model.num_sources.
+void TrustScores(const CompiledModel& model, const std::vector<double>& w,
+                 std::vector<double>* sigma);
+
+/// σ of one source: the same bits as its TrustScores entry (LaneStableSum
+/// is FoldRanges' accumulation, see src/simd/simd.h).
+inline double TrustScore(const CompiledModel& model, const double* w,
+                         SourceId source) {
+  const int64_t begin = model.sigma_begin[static_cast<size_t>(source)];
+  const double* coeff = model.sigma_coeff.data() + begin;
+  const ParamId* param = model.sigma_param.data() + begin;
+  return simd::LaneStableSum(
+      model.sigma_begin[static_cast<size_t>(source) + 1] - begin,
+      [&](int64_t i) { return coeff[i] * w[param[i]]; });
 }
 
-/// Raw candidate scores of row `r` (SparseValueScore of each of its
-/// candidates), written to `out[0..DomainSize(r))` — the pre-softmax part
-/// of SparsePosterior, for callers that batch the softmax over many rows.
-inline void SparseScores(const CompiledInstance& inst, int32_t r,
-                         const std::vector<double>& w, double* out) {
-  const int64_t begin = inst.row_begin[static_cast<size_t>(r)];
-  const int64_t end = inst.row_begin[static_cast<size_t>(r) + 1];
-  for (int64_t c = begin; c < end; ++c) {
-    out[c - begin] = SparseValueScore(inst, c, w);
+/// The one scoring function: raw scores of `object`'s candidates, written
+/// to out[0..DomainSize(object)). Each starts at its offset, gains
+/// sigma[s] for every claim on it in claim order, then the weight w[p] of
+/// every copy term that fires on it. Only the sigma entries of the
+/// object's claiming sources are read.
+inline void CandidateScores(const CompiledInstance& inst, ObjectId object,
+                            const double* sigma, const double* w,
+                            double* out) {
+  const ObservationStore& store = inst.store;
+  const IndexRange cands = store.DomainRange(object);
+  const int64_t n = cands.size();
+  const double* offsets = inst.cand_offsets.data() + cands.begin;
+  for (int64_t d = 0; d < n; ++d) out[d] = offsets[d];
+  const IndexRange claims = store.ObjectRange(object);
+  const SourceId* src = store.sources().data();
+  const int32_t* cand = inst.claim_cand.data();
+  for (int64_t i = claims.begin; i < claims.end; ++i) {
+    out[cand[i]] += sigma[src[i]];
+  }
+  if (inst.copy_begin.empty()) return;
+  const int64_t end = inst.copy_begin[static_cast<size_t>(object) + 1];
+  for (int64_t t = inst.copy_begin[static_cast<size_t>(object)]; t < end;
+       ++t) {
+    const double weight = w[inst.copy_param[static_cast<size_t>(t)]];
+    const int32_t agreed = inst.copy_cand[static_cast<size_t>(t)];
+    for (int64_t d = 0; d < n; ++d) {
+      if (d != agreed) out[d] += weight;
+    }
   }
 }
 
-/// Posterior over row `r`'s candidates (softmax of SparseScores);
-/// bit-identical to SlimFastModel::Posterior on the matching nested row.
-inline void SparsePosterior(const CompiledInstance& inst, int32_t r,
-                            const std::vector<double>& w,
-                            std::vector<double>* probs) {
-  probs->resize(static_cast<size_t>(inst.DomainSize(r)));
-  SparseScores(inst, r, w, probs->data());
-  SoftmaxInPlace(probs);
-}
-
-/// Compiles `dataset` under `config` and flattens the result. The heavy
-/// lifting is Compile(); flattening is one linear pass.
+/// Compiles `dataset` under `config`: the parameter structure (Compile),
+/// the columnar store, and one derive pass over the claims.
 Result<std::shared_ptr<const CompiledInstance>> CompileInstance(
     const Dataset& dataset, const ModelConfig& config);
 
-class Executor;
-
-/// Extends a compiled instance with one ingest batch, recompiling only the
-/// touched rows — the delta-maintenance step of the incremental fusion
-/// engine.
-///
-/// The patched `ObservationStore` comes from `ObservationStore::AppendBatch`
-/// (CSR range splice + incremental fingerprint); only the rows whose
-/// claims, domain, or truth changed are re-derived, through the same
-/// `CompileObjectRow` the full compiler runs, and the flat CSR arrays are
-/// reassembled in one linear pass. The result is **bitwise-equal** to
-/// `CompileInstance` over the concatenated data — same structure, same
-/// term coefficients, same offsets to the last bit — which
-/// `core_delta_compile_test` asserts for every preset and chunking, and
-/// the bench re-checks on every run. Touched-row recompilation is sharded
-/// across `exec` (null = serial; rows are independent, so thread count
-/// never changes the result).
+/// Extends a compiled instance with one ingest batch — the
+/// delta-maintenance step of the incremental fusion engine:
+/// `ObservationStore::AppendBatch` (CSR range splice + incremental
+/// fingerprint) plus the derive pass CompileInstance runs. The parameter
+/// structure does not depend on the claims, so it is shared with `base`,
+/// and the result is **bitwise-equal** to `CompileInstance` over the
+/// concatenated data by construction (`core_delta_compile_test` asserts it
+/// for every preset and chunking; `slimfast_cli replay` re-checks it).
 ///
 /// Returns NotImplemented when the base config enables the copying
 /// extension: copy-pair selection is a global agreement scan, so a batch
 /// can invalidate the parameter layout itself — callers must recompile
 /// from scratch in that configuration.
-///
-/// When `recompiled_rows` is non-null it receives the ascending list of
-/// objects whose rows were actually re-derived: the objects with new
-/// claims in the batch. Truth-only updates re-derive nothing — truth
-/// never enters a row's term expressions, and the flattening pass
-/// re-resolves every truth target from the patched store.
 Result<std::shared_ptr<const CompiledInstance>> DeltaCompile(
-    const CompiledInstance& base, const ObservationBatch& batch,
-    Executor* exec = nullptr,
-    std::vector<ObjectId>* recompiled_rows = nullptr);
+    const CompiledInstance& base, const ObservationBatch& batch);
 
-/// Deep bitwise equality of two compiled instances: the compiled model
-/// (every term coefficient and offset compared as exact doubles), the
-/// columnar store (including its content fingerprint), and every flat CSR
-/// array. This is the delta-compilation correctness oracle.
+/// Deep bitwise equality of two compiled instances: the parameter
+/// structure, the columnar store (including its content fingerprint), and
+/// every derived array (offsets compared as exact doubles). This is the
+/// delta-compilation correctness oracle.
 bool BitwiseEqual(const CompiledInstance& a, const CompiledInstance& b);
 
 /// Content fingerprint of everything compilation reads from a dataset:

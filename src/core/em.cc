@@ -24,13 +24,12 @@ struct EStepAcc {
 /// Adds one unclamped row's imputed claim targets and NLL contribution.
 /// `probs` is the row's posterior; `soft_entropy` is its precomputed
 /// entropy (ignored on the hard path); claims arrive as parallel arrays of
-/// source and within-row candidate index (-1 = claimed value outside the
-/// domain).
+/// source and within-row candidate index.
 inline void EmitRow(const double* probs, int64_t domain_size, bool soft,
                     double soft_entropy, const SourceId* claim_src,
                     const int32_t* claim_di, int64_t num_claims,
                     EStepAcc* acc) {
-  if (domain_size == 0) return;  // degenerate row: nothing to impute
+  if (domain_size == 0) return;  // unobserved object: nothing to impute
   if (soft) {
     // Soft target per claim: q = P(To = claimed value).
     simd::AccumulateWeightedCounts(claim_src, claim_di, num_claims, probs,
@@ -50,58 +49,54 @@ inline void EmitRow(const double* probs, int64_t domain_size, bool soft,
   }
 }
 
-/// The batched E-step over shard `range`: instead of one posterior at a
-/// time, the whole shard's flat CSR span runs as four kernel passes —
-/// TermProducts over every term, FoldRanges into per-candidate scores,
-/// SoftmaxRows over every row at once, and (soft mode) BatchEntropyTerms
-/// + FoldRanges for the per-row entropies — before a scalar emission walk
-/// over the claims. Clamped rows' posteriors are computed and discarded:
-/// keeping the spans contiguous beats compacting them (clamped rows are a
-/// small training fraction), and emission skips them. By the lane-stable
-/// kernel contract (see src/simd/simd.h) each row's posterior is
-/// bit-identical to SparsePosterior on that row.
-void EStepShard(const CompiledInstance& inst, const std::vector<double>& w,
-                const EmOptions& options, const std::vector<uint8_t>& clamped,
-                const ShardRange& range, EStepAcc* acc) {
-  const int64_t* row_begin = inst.row_begin.data();
-  const int64_t* term_begin = inst.term_begin.data();
-  const int64_t* claim_begin = inst.claim_begin.data();
+/// The E-step over the objects of shard `range`, given the pass's trust
+/// scores `sigma`: CandidateScores for every object into one packed
+/// buffer, SoftmaxRows over all of them at once, and (soft mode)
+/// BatchEntropyTerms + FoldRanges for the per-row entropies, before a
+/// scalar emission walk over the claims. Clamped rows' posteriors are
+/// computed and discarded: keeping the spans contiguous beats compacting
+/// them (clamped rows are a small training fraction), and emission skips
+/// them. By the lane-stable kernel contract (see src/simd/simd.h) each
+/// row's posterior is bit-identical to SlimFastModel::Posterior.
+void EStepShard(const CompiledInstance& inst, const std::vector<double>& sigma,
+                const std::vector<double>& w, const EmOptions& options,
+                const std::vector<uint8_t>& clamped, const ShardRange& range,
+                EStepAcc* acc) {
+  const ObservationStore& store = inst.store;
+  const int64_t* cand_begin = store.domain_offsets().data();
+  const int64_t* claim_begin = store.object_offsets().data();
   const int64_t num_rows = range.end - range.begin;
   if (num_rows <= 0) return;
-  const int64_t cand_b = row_begin[range.begin];
-  const int64_t ncand = row_begin[range.end] - cand_b;
+  const int64_t cand_b = cand_begin[range.begin];
+  const int64_t ncand = cand_begin[range.end] - cand_b;
   if (ncand == 0) return;
-  const int64_t term_b = term_begin[cand_b];
-  const int64_t nterms = term_begin[row_begin[range.end]] - term_b;
 
-  std::vector<double> prod(static_cast<size_t>(nterms));
   std::vector<double> scores(static_cast<size_t>(ncand));
-  simd::TermProducts(inst.term_coeff.data() + term_b,
-                     inst.term_param.data() + term_b, w.data(), prod.data(),
-                     nterms);
-  simd::FoldRanges(term_begin + cand_b, ncand, term_b, prod.data(),
-                   inst.cand_offsets.data() + cand_b, scores.data());
-  simd::SoftmaxRows(row_begin + range.begin, num_rows, cand_b, scores.data());
+  for (int64_t o = range.begin; o < range.end; ++o) {
+    CandidateScores(inst, static_cast<ObjectId>(o), sigma.data(), w.data(),
+                    scores.data() + (cand_begin[o] - cand_b));
+  }
+  simd::SoftmaxRows(cand_begin + range.begin, num_rows, cand_b,
+                    scores.data());
 
   std::vector<double> row_ent;
   if (options.soft) {
     std::vector<double> ent_terms(static_cast<size_t>(ncand));
     simd::BatchEntropyTerms(scores.data(), ent_terms.data(), ncand);
     row_ent.resize(static_cast<size_t>(num_rows));
-    simd::FoldRanges(row_begin + range.begin, num_rows, cand_b,
+    simd::FoldRanges(cand_begin + range.begin, num_rows, cand_b,
                      ent_terms.data(), nullptr, row_ent.data());
   }
 
-  for (int64_t r = range.begin; r < range.end; ++r) {
-    if (clamped[static_cast<size_t>(r)]) continue;
-    const int64_t row_base = row_begin[r];
-    const int64_t cb = claim_begin[r];
-    EmitRow(scores.data() + (row_base - cand_b), row_begin[r + 1] - row_base,
-            options.soft,
-            options.soft ? row_ent[static_cast<size_t>(r - range.begin)]
+  for (int64_t o = range.begin; o < range.end; ++o) {
+    if (clamped[static_cast<size_t>(o)]) continue;
+    const int64_t cb = claim_begin[o];
+    EmitRow(scores.data() + (cand_begin[o] - cand_b),
+            cand_begin[o + 1] - cand_begin[o], options.soft,
+            options.soft ? row_ent[static_cast<size_t>(o - range.begin)]
                          : 0.0,
-            inst.claim_sources.data() + cb, inst.claim_cand.data() + cb,
-            claim_begin[r + 1] - cb, acc);
+            store.sources().data() + cb, inst.claim_cand.data() + cb,
+            claim_begin[o + 1] - cb, acc);
   }
 }
 
@@ -171,15 +166,17 @@ Result<EmStats> EmLearner::Fit(const Dataset& dataset,
 double EmLearner::TrainAccuracy(const Dataset& dataset,
                                 const std::vector<ObjectId>& train_objects,
                                 const SlimFastModel& model) {
+  const std::vector<double> sigma = model.TrustScores();
+  const ObservationStore& store = model.instance().store;
   int64_t evaluated = 0;
   int64_t correct = 0;
   for (ObjectId o : train_objects) {
     if (!dataset.HasTruth(o)) continue;
-    const CompiledObject* row = model.compiled().RowOf(o);
-    if (row == nullptr) continue;
+    const int32_t map_index = model.MapIndex(o, sigma);
+    if (map_index < 0) continue;
     ++evaluated;
-    int32_t map_index = model.MapIndex(*row);
-    if (row->domain[static_cast<size_t>(map_index)] == dataset.Truth(o)) {
+    if (store.domain_values()[static_cast<size_t>(
+            store.DomainRange(o).begin + map_index)] == dataset.Truth(o)) {
       ++correct;
     }
   }
@@ -193,17 +190,17 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
                                    bool seed_from_labels, bool warm_start,
                                    Executor* exec,
                                    const CompiledInstance& instance) const {
-  const CompiledModel& compiled = model->compiled();
-  if (compiled.objects.empty()) {
+  const ObservationStore& store = instance.store;
+  if (store.num_observations() == 0) {
     return Status::FailedPrecondition("EM requires at least one observation");
   }
 
   std::vector<LabeledExample> labeled =
-      ErmLearner::ObjectExamples(dataset, compiled, train_objects);
+      ErmLearner::ObjectExamples(instance, train_objects);
   // Rows clamped to ground truth (never re-imputed by the E-step).
-  std::vector<uint8_t> clamped(compiled.objects.size(), 0);
+  std::vector<uint8_t> clamped(static_cast<size_t>(store.num_objects()), 0);
   for (const LabeledExample& ex : labeled) {
-    clamped[static_cast<size_t>(ex.row)] = 1;
+    clamped[static_cast<size_t>(ex.object)] = 1;
   }
 
   // A warm-started relearn refines the model's current weights (the
@@ -217,8 +214,7 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
 
   // Claims on clamped objects keep their targets across iterations, so
   // their statistics are collected once per fit.
-  const int64_t num_sources =
-      static_cast<int64_t>(compiled.sigma_terms.size());
+  const int64_t num_sources = model->compiled().num_sources;
   SourceStats clamped_stats(num_sources);
   for (const ObservationExample& ex :
        ErmLearner::ObservationExamples(dataset, train_objects)) {
@@ -234,10 +230,13 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
       (warm_start && options_.warm_max_iterations > 0)
           ? options_.warm_max_iterations
           : options_.max_iterations;
-  // The E-step's work for the exec minimum-work rule: every compiled term
-  // is scored and every claim emitted once per pass.
-  const int64_t estep_work = static_cast<int64_t>(
-      instance.term_param.size() + instance.claim_sources.size());
+  // The E-step's work for the exec minimum-work rule: per pass every σ
+  // term is folded, every claim gathers one σ and is emitted, and every
+  // candidate is scored and normalized.
+  const int64_t estep_work =
+      static_cast<int64_t>(model->compiled().sigma_param.size()) +
+      store.num_observations() +
+      static_cast<int64_t>(store.domain_values().size());
 
   // Hard EM's fixed point. The M-step sees the E-step only through the
   // per-source sums, so an E-step whose sums equal the previous one's
@@ -268,12 +267,13 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
     EStepAcc estep;
     {
       obs::TraceSpan span("core.em.estep");
+      const std::vector<double> sigma = model->TrustScores();
       estep = DeterministicReduce(
-          exec, static_cast<int64_t>(compiled.objects.size()),
+          exec, static_cast<int64_t>(store.num_objects()),
           EStepAcc{SourceStats(num_sources), 0.0},
           [&](const ShardRange& range, EStepAcc* acc) {
-            EStepShard(instance, model->weights(), options_, clamped, range,
-                       acc);
+            EStepShard(instance, sigma, model->weights(), options_, clamped,
+                       range, acc);
           },
           [](EStepAcc* total, const EStepAcc& shard) {
             total->stats.Add(shard.stats);
@@ -282,8 +282,7 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
           estep_work);
       estep.stats.Add(clamped_stats);
       for (const LabeledExample& ex : labeled) {
-        estep.nll += model->ObjectNll(
-            compiled.objects[static_cast<size_t>(ex.row)], ex.target_index);
+        estep.nll += model->ObjectNll(ex.object, sigma, ex.target_index);
       }
     }
 

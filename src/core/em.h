@@ -73,11 +73,11 @@ class EmLearner {
   /// Runs EM on `model` in place. `train_objects` may be empty
   /// (fully unsupervised). The E-step's per-object posterior imputation is
   /// sharded across `exec` (null = serial) with a deterministic reduce, so
-  /// thread count never changes the fit; an instance whose terms plus
-  /// claims fall below kMinParallelWork runs its shards inline (see
-  /// exec/parallel.h). The E-step walks the flat CSR rows of `instance`,
-  /// the compilation `model` was built on; a null `instance` is
-  /// InvalidArgument.
+  /// thread count never changes the fit; an instance whose σ terms,
+  /// claims and candidates fall below kMinParallelWork runs its shards
+  /// inline (see exec/parallel.h). Each E-step computes σ once and scores
+  /// every object of `instance`, the compilation `model` was built on,
+  /// from its claims; a null `instance` is InvalidArgument.
   ///
   /// With `warm_start` set, the model's current weights are taken as the
   /// starting point — initialization (the logit-prior source weights and

@@ -15,18 +15,17 @@
 namespace slimfast {
 
 std::vector<LabeledExample> ErmLearner::ObjectExamples(
-    const Dataset& dataset, const CompiledModel& compiled,
+    const CompiledInstance& instance,
     const std::vector<ObjectId>& train_objects) {
+  const ObservationStore& store = instance.store;
   std::vector<LabeledExample> examples;
   examples.reserve(train_objects.size());
   for (ObjectId o : train_objects) {
-    if (!dataset.HasTruth(o)) continue;
-    const CompiledObject* row = compiled.RowOf(o);
-    if (row == nullptr) continue;
-    int32_t target = row->DomainIndex(dataset.Truth(o));
+    if (!store.HasTruth(o)) continue;
+    int32_t target =
+        store.DomainIndexOf(o, store.truth()[static_cast<size_t>(o)]);
     if (target < 0) continue;  // truth never claimed; unusable for ERM
-    examples.push_back(LabeledExample{
-        compiled.object_row[static_cast<size_t>(o)], target, 1.0});
+    examples.push_back(LabeledExample{o, target, 1.0});
   }
   return examples;
 }
@@ -47,26 +46,28 @@ std::vector<ObservationExample> ErmLearner::ObservationExamples(
 
 namespace {
 
-/// Applies `fn(term)` to every posterior term of candidate `di` of row
-/// `r`, in the instance's flat term order.
-template <typename Fn>
-inline void ForEachTerm(const CompiledInstance& inst, int32_t r, size_t di,
-                        Fn&& fn) {
-  const size_t cand =
-      static_cast<size_t>(inst.row_begin[static_cast<size_t>(r)]) + di;
-  const int64_t end = inst.term_begin[cand + 1];
-  for (int64_t t = inst.term_begin[cand]; t < end; ++t) {
-    fn(inst.terms[static_cast<size_t>(t)]);
+/// Adds g · ∂σ_s/∂w for source `s` to `grad`.
+inline void AddSigmaGrad(const CompiledModel& model, SourceId s, double g,
+                         SparseGradAccumulator<ParamId>* grad) {
+  const int64_t end = model.sigma_begin[static_cast<size_t>(s) + 1];
+  for (int64_t t = model.sigma_begin[static_cast<size_t>(s)]; t < end; ++t) {
+    grad->Add(model.sigma_param[static_cast<size_t>(t)],
+              model.sigma_coeff[static_cast<size_t>(t)], g);
   }
 }
 
-/// The SGD loop of FitObjectLoss over the instance's flat rows.
+/// The SGD loop of FitObjectLoss. Each step scores its example's object
+/// from the σ of the object's claiming sources under the current weights.
 Result<FitStats> FitObjectLossSgd(const ErmOptions& options,
                                   const std::vector<LabeledExample>& examples,
                                   SlimFastModel* model, Rng* rng,
                                   const CompiledInstance& inst) {
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
+  const CompiledModel& compiled = *inst.model;
+  const ObservationStore& store = inst.store;
+  const SourceId* src = store.sources().data();
+  const int32_t* claim_cand = inst.claim_cand.data();
 
   LearningRateSchedule schedule(options.learning_rate, options.decay);
   ConvergenceTracker tracker(options.tolerance, options.patience);
@@ -76,6 +77,7 @@ Result<FitStats> FitObjectLossSgd(const ErmOptions& options,
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
 
   SparseGradAccumulator<ParamId> grad(layout.num_params);
+  std::vector<double> sigma(static_cast<size_t>(compiled.num_sources));
   std::vector<double> probs;
 
   double total_weight = 0.0;
@@ -88,23 +90,43 @@ Result<FitStats> FitObjectLossSgd(const ErmOptions& options,
     double loss_sum = 0.0;
     for (size_t idx : order) {
       const LabeledExample& ex = examples[static_cast<size_t>(idx)];
-
-      SparsePosterior(inst, ex.row, w, &probs);
+      const IndexRange claims = store.ObjectRange(ex.object);
+      for (int64_t i = claims.begin; i < claims.end; ++i) {
+        sigma[static_cast<size_t>(src[i])] =
+            TrustScore(compiled, w.data(), src[i]);
+      }
+      probs.resize(static_cast<size_t>(inst.DomainSize(ex.object)));
+      CandidateScores(inst, ex.object, sigma.data(), w.data(), probs.data());
+      SoftmaxInPlace(&probs);
       double p_target =
           std::max(probs[static_cast<size_t>(ex.target_index)], 1e-300);
       loss_sum += -ex.weight * std::log(p_target);
 
-      // d(-log p_target)/dw = Σ_d p_d * x_d - x_target.
+      // d(-log p_target)/dσ_s = p_d - [d == target] for the candidate d
+      // that source s claims; copy weight p fires on every candidate but
+      // the agreed one.
       grad.Clear();
-      ForEachTerm(inst, ex.row, static_cast<size_t>(ex.target_index),
-                  [&](const ParamTerm& t) {
-                    grad.Add(t.param, t.coeff, -ex.weight);
-                  });
-      for (size_t di = 0; di < probs.size(); ++di) {
-        double coeff = ex.weight * probs[di];
-        ForEachTerm(inst, ex.row, di, [&](const ParamTerm& t) {
-          grad.Add(t.param, t.coeff, coeff);
-        });
+      for (int64_t i = claims.begin; i < claims.end; ++i) {
+        const int32_t d = claim_cand[i];
+        const double g =
+            ex.weight * (probs[static_cast<size_t>(d)] -
+                         (d == ex.target_index ? 1.0 : 0.0));
+        AddSigmaGrad(compiled, src[i], g, &grad);
+      }
+      if (!inst.copy_begin.empty()) {
+        const size_t o = static_cast<size_t>(ex.object);
+        for (int64_t t = inst.copy_begin[o]; t < inst.copy_begin[o + 1];
+             ++t) {
+          const int32_t agreed = inst.copy_cand[static_cast<size_t>(t)];
+          double g = 0.0;
+          for (size_t d = 0; d < probs.size(); ++d) {
+            if (static_cast<int32_t>(d) == agreed) continue;
+            g += probs[d] -
+                 (static_cast<int32_t>(d) == ex.target_index ? 1.0 : 0.0);
+          }
+          grad.Add(inst.copy_param[static_cast<size_t>(t)], 1.0,
+                   ex.weight * g);
+        }
       }
       for (ParamId p : grad.touched()) {
         size_t pi = static_cast<size_t>(p);
@@ -129,38 +151,45 @@ Result<FitStats> FitObjectLossSgd(const ErmOptions& options,
   return stats;
 }
 
-/// Per-shard accumulator of the batch gradient pass: a sparse gradient
-/// (dense slots + touched list) plus the shard's weighted loss. Folded in
-/// fixed shard order, so the epoch gradient is bit-identical for any
-/// thread count.
+/// Per-shard accumulator of the batch gradient pass: the gradient with
+/// respect to every trust score σ_s and every copy weight, plus the
+/// shard's weighted loss. Folded in fixed shard order, so the epoch
+/// gradient is bit-identical for any thread count.
 struct BatchGradAcc {
-  explicit BatchGradAcc(int32_t num_params) : grad(num_params) {}
-  SparseGradAccumulator<ParamId> grad;
+  BatchGradAcc(int32_t num_sources, int32_t num_copy)
+      : g_sigma(static_cast<size_t>(num_sources)),
+        g_copy(static_cast<size_t>(num_copy)) {}
+  std::vector<double> g_sigma;
+  std::vector<double> g_copy;
   double loss = 0.0;
 };
 
 /// The full-batch proximal-descent loop.
 ///
-/// The epoch is organized around the rows the examples touch, not the
-/// examples themselves. Per-example work factors by row: every example
-/// on row r reads the same posterior, and its gradient contribution to
-/// candidate di is weight·(p_di − [di == target]). Summing the bracketed
-/// terms over a row's examples once, up front, turns the epoch into
+/// The epoch is organized around the objects the examples touch, not the
+/// examples themselves: every example on object o reads the same
+/// posterior, and its gradient with respect to candidate di's score is
+/// weight·(p_di − [di == target]). Summing the bracketed terms over an
+/// object's examples once, up front, turns the epoch into
 ///
-///   per used row:  scores → softmax → one scatter of
-///                  (row_weight·p_di − target_mass_di)·terms(di)
+///   once:            σ = TrustScores(w)
+///   per used object: CandidateScores → softmax → for each claim on
+///                    candidate di by source s:
+///                    g_σs += row_weight·p_di − target_mass_di
+///   once:            g_w = Σ_s g_σs · ∂σ_s/∂w through the σ CSR
 ///
-/// which visits each row's terms once per epoch instead of once per
-/// example (soft EM attaches one example per claim, so this is the
-/// difference between one and a per-row claim count of scatter passes),
-/// and batches every softmax/log through the SIMD kernels over a packed
-/// candidate buffer. Sharding is over used rows; the shard-order fold
+/// with every softmax/log batched through the SIMD kernels over a packed
+/// candidate buffer. Sharding is over used objects; the shard-order fold
 /// keeps the epoch gradient bit-identical for any thread count.
 Result<FitStats> FitObjectLossBatch(
     const ErmOptions& options, const std::vector<LabeledExample>& examples,
     SlimFastModel* model, Executor* exec, const CompiledInstance& inst) {
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
+  const CompiledModel& compiled = *inst.model;
+  const ObservationStore& store = inst.store;
+  const SourceId* src = store.sources().data();
+  const int32_t* claim_cand = inst.claim_cand.data();
 
   LearningRateSchedule schedule(options.learning_rate, options.decay);
   ConvergenceTracker tracker(options.tolerance, options.patience);
@@ -169,33 +198,32 @@ Result<FitStats> FitObjectLossBatch(
   for (const LabeledExample& ex : examples) total_weight += ex.weight;
 
   // ---- Fixed per-fit structure (the example set never changes). ----
-  // Used rows in first-appearance order; their candidate domains are
-  // packed back to back, so a shard of used rows owns one contiguous
+  // Used objects in first-appearance order; their candidate domains are
+  // packed back to back, so a shard of used objects owns one contiguous
   // slice of the packed buffers.
-  std::vector<int32_t> slice_of_row(static_cast<size_t>(inst.num_rows()),
-                                    -1);
-  std::vector<int32_t> used_rows;
+  std::vector<int32_t> slice_of(static_cast<size_t>(inst.num_objects()), -1);
+  std::vector<ObjectId> used;
   for (const LabeledExample& ex : examples) {
-    if (slice_of_row[static_cast<size_t>(ex.row)] < 0) {
-      slice_of_row[static_cast<size_t>(ex.row)] =
-          static_cast<int32_t>(used_rows.size());
-      used_rows.push_back(ex.row);
+    if (slice_of[static_cast<size_t>(ex.object)] < 0) {
+      slice_of[static_cast<size_t>(ex.object)] =
+          static_cast<int32_t>(used.size());
+      used.push_back(ex.object);
     }
   }
-  const int32_t num_used = static_cast<int32_t>(used_rows.size());
+  const int32_t num_used = static_cast<int32_t>(used.size());
   std::vector<int64_t> packed_begin(static_cast<size_t>(num_used) + 1, 0);
   for (int32_t s = 0; s < num_used; ++s) {
     packed_begin[static_cast<size_t>(s) + 1] =
         packed_begin[static_cast<size_t>(s)] +
-        inst.DomainSize(used_rows[static_cast<size_t>(s)]);
+        inst.DomainSize(used[static_cast<size_t>(s)]);
   }
   const int64_t num_packed = packed_begin[static_cast<size_t>(num_used)];
-  // Grouped example constants: total example weight per used row, and
+  // Grouped example constants: total example weight per used object, and
   // summed target weight per packed candidate.
   std::vector<double> row_weight(static_cast<size_t>(num_used), 0.0);
   std::vector<double> target_mass(static_cast<size_t>(num_packed), 0.0);
   for (const LabeledExample& ex : examples) {
-    const int32_t s = slice_of_row[static_cast<size_t>(ex.row)];
+    const int32_t s = slice_of[static_cast<size_t>(ex.object)];
     row_weight[static_cast<size_t>(s)] += ex.weight;
     target_mass[static_cast<size_t>(
         packed_begin[static_cast<size_t>(s)] + ex.target_index)] +=
@@ -203,31 +231,37 @@ Result<FitStats> FitObjectLossBatch(
   }
 
   // Per-shard accumulators persist across epochs (cleared in place by each
-  // shard body, O(nnz) per clear) so the epoch loop allocates nothing. The
-  // shard structure and the shard-order fold below are exactly
-  // DeterministicReduce's contract: bit-identical for any thread count.
+  // shard body) so the epoch loop allocates nothing. The shard structure
+  // and the shard-order fold below are exactly DeterministicReduce's
+  // contract: bit-identical for any thread count.
   const std::vector<ShardRange> shards =
       StaticShards(num_used, FixedShardCount(num_used));
-  std::vector<BatchGradAcc> partial(shards.size(),
-                                    BatchGradAcc(layout.num_params));
+  std::vector<BatchGradAcc> partial(
+      shards.size(),
+      BatchGradAcc(compiled.num_sources, layout.num_copy_params));
+  BatchGradAcc total(compiled.num_sources, layout.num_copy_params);
+  std::vector<double> sigma;
   std::vector<double> probs(static_cast<size_t>(num_packed));
   std::vector<double> logp(static_cast<size_t>(num_packed));
   std::vector<double> grad(static_cast<size_t>(layout.num_params), 0.0);
 
   FitStats stats;
   for (int32_t epoch = 0; epoch < options.epochs; ++epoch) {
+    TrustScores(compiled, w, &sigma);
     RunSharded(
         exec, static_cast<int32_t>(shards.size()), [&](int32_t s) {
           const ShardRange& range = shards[static_cast<size_t>(s)];
           BatchGradAcc& acc = partial[static_cast<size_t>(s)];
-          acc.grad.Clear();
+          std::fill(acc.g_sigma.begin(), acc.g_sigma.end(), 0.0);
+          std::fill(acc.g_copy.begin(), acc.g_copy.end(), 0.0);
           acc.loss = 0.0;
           const int64_t pb = packed_begin[static_cast<size_t>(range.begin)];
           const int64_t pe = packed_begin[static_cast<size_t>(range.end)];
-          // 1. Scores for every used row of the shard, packed.
+          // 1. Scores for every used object of the shard, packed.
           for (int64_t i = range.begin; i < range.end; ++i) {
-            SparseScores(inst, used_rows[static_cast<size_t>(i)], w,
-                         probs.data() + packed_begin[static_cast<size_t>(i)]);
+            CandidateScores(
+                inst, used[static_cast<size_t>(i)], sigma.data(), w.data(),
+                probs.data() + packed_begin[static_cast<size_t>(i)]);
           }
           // 2. One softmax pass over the shard's packed rows.
           simd::SoftmaxRows(packed_begin.data() + range.begin,
@@ -244,38 +278,61 @@ Result<FitStats> FitObjectLossBatch(
             acc.loss += -target_mass[static_cast<size_t>(c)] *
                         logp[static_cast<size_t>(c)];
           }
-          // 4. One gradient scatter per candidate.
+          // 4. The score gradient, coeff_di = row_weight·p_di −
+          // target_mass_di, gathered onto the claiming sources' σ and
+          // onto the copy weights firing on di.
           for (int64_t i = range.begin; i < range.end; ++i) {
-            const int32_t row = used_rows[static_cast<size_t>(i)];
-            const int64_t base = packed_begin[static_cast<size_t>(i)];
+            const ObjectId o = used[static_cast<size_t>(i)];
+            const double* p = probs.data() + packed_begin[static_cast<size_t>(i)];
+            const double* tm =
+                target_mass.data() + packed_begin[static_cast<size_t>(i)];
             const double rw = row_weight[static_cast<size_t>(i)];
-            const size_t domain_size =
-                static_cast<size_t>(inst.DomainSize(row));
-            for (size_t di = 0; di < domain_size; ++di) {
-              const double coeff =
-                  rw * probs[static_cast<size_t>(base) + di] -
-                  target_mass[static_cast<size_t>(base) + di];
-              ForEachTerm(inst, row, di, [&](const ParamTerm& t) {
-                acc.grad.Add(t.param, t.coeff, coeff);
-              });
+            const IndexRange claims = store.ObjectRange(o);
+            for (int64_t c = claims.begin; c < claims.end; ++c) {
+              const int32_t d = claim_cand[c];
+              acc.g_sigma[static_cast<size_t>(src[c])] += rw * p[d] - tm[d];
+            }
+            if (inst.copy_begin.empty()) continue;
+            const int32_t n = inst.DomainSize(o);
+            const size_t oi = static_cast<size_t>(o);
+            for (int64_t t = inst.copy_begin[oi]; t < inst.copy_begin[oi + 1];
+                 ++t) {
+              const int32_t agreed = inst.copy_cand[static_cast<size_t>(t)];
+              double g = 0.0;
+              for (int32_t d = 0; d < n; ++d) {
+                if (d != agreed) g += rw * p[d] - tm[d];
+              }
+              acc.g_copy[static_cast<size_t>(
+                  inst.copy_param[static_cast<size_t>(t)] -
+                  layout.copy_offset)] += g;
             }
           }
         });
-    // Shard-order fold. Visiting only each shard's touched params adds the
-    // same per-param contributions, in the same shard order, as a
-    // full-vector fold (untouched slots contributed exactly 0.0). Draining
-    // zeroes each slot as it is read: a param can appear in touched() twice
-    // when its slot cancels to exactly 0.0 mid-shard and is re-touched, and
-    // the duplicate must contribute its (now zeroed) slot, not the final
-    // value twice.
-    std::fill(grad.begin(), grad.end(), 0.0);
+    // Shard-order fold, then one scatter through the σ CSR.
+    std::fill(total.g_sigma.begin(), total.g_sigma.end(), 0.0);
+    std::fill(total.g_copy.begin(), total.g_copy.end(), 0.0);
     double loss_sum = 0.0;
-    for (BatchGradAcc& acc : partial) {
+    for (const BatchGradAcc& acc : partial) {
       loss_sum += acc.loss;
-      for (ParamId p : acc.grad.touched()) {
-        grad[static_cast<size_t>(p)] += acc.grad.Slot(p);
-        acc.grad.ZeroSlot(p);
+      for (size_t k = 0; k < acc.g_sigma.size(); ++k) {
+        total.g_sigma[k] += acc.g_sigma[k];
       }
+      for (size_t k = 0; k < acc.g_copy.size(); ++k) {
+        total.g_copy[k] += acc.g_copy[k];
+      }
+    }
+    std::fill(grad.begin(), grad.end(), 0.0);
+    for (size_t sidx = 0; sidx < total.g_sigma.size(); ++sidx) {
+      const double gs = total.g_sigma[sidx];
+      for (int64_t t = compiled.sigma_begin[sidx];
+           t < compiled.sigma_begin[sidx + 1]; ++t) {
+        grad[static_cast<size_t>(
+            compiled.sigma_param[static_cast<size_t>(t)])] +=
+            gs * compiled.sigma_coeff[static_cast<size_t>(t)];
+      }
+    }
+    for (size_t k = 0; k < total.g_copy.size(); ++k) {
+      grad[static_cast<size_t>(layout.copy_offset) + k] += total.g_copy[k];
     }
     // Normalize to mean loss so step sizes are dataset-size independent.
     double inv = 1.0 / total_weight;
@@ -300,14 +357,14 @@ Result<FitStats> FitObjectLossBatch(
 }
 
 /// The accuracy log-loss SGD loop (Definition 7). Trust scores read the
-/// compiled model's sigma terms.
+/// compiled model's σ CSR.
 Result<FitStats> FitAccuracyLossSgd(
     const ErmOptions& options,
     const std::vector<ObservationExample>& examples, SlimFastModel* model,
     Rng* rng) {
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
-  const auto& sigma_terms = model->compiled().sigma_terms;
+  const CompiledModel& compiled = model->compiled();
 
   LearningRateSchedule schedule(options.learning_rate, options.decay);
   ConvergenceTracker tracker(options.tolerance, options.patience);
@@ -326,10 +383,14 @@ Result<FitStats> FitAccuracyLossSgd(
     double loss_sum = 0.0;
     for (size_t idx : order) {
       const ObservationExample& ex = examples[static_cast<size_t>(idx)];
-      const auto& terms = sigma_terms[static_cast<size_t>(ex.source)];
+      const int64_t begin = compiled.sigma_begin[static_cast<size_t>(ex.source)];
+      const int64_t end =
+          compiled.sigma_begin[static_cast<size_t>(ex.source) + 1];
       double sigma = 0.0;
-      for (const ParamTerm& t : terms) {
-        sigma += t.coeff * w[static_cast<size_t>(t.param)];
+      for (int64_t t = begin; t < end; ++t) {
+        sigma += compiled.sigma_coeff[static_cast<size_t>(t)] *
+                 w[static_cast<size_t>(
+                     compiled.sigma_param[static_cast<size_t>(t)])];
       }
       double a = Sigmoid(sigma);
       // Binary cross-entropy with (possibly fractional) label; d/dσ = a - y.
@@ -337,14 +398,16 @@ Result<FitStats> FitAccuracyLossSgd(
                   (ex.label * std::log(std::max(a, 1e-300)) +
                    (1.0 - ex.label) * std::log(std::max(1.0 - a, 1e-300)));
       double g_sigma = ex.weight * (a - ex.label);
-      for (const ParamTerm& t : terms) {
-        size_t pi = static_cast<size_t>(t.param);
-        double g = g_sigma * t.coeff + options.l2 * w[pi];
+      for (int64_t t = begin; t < end; ++t) {
+        const ParamId p = compiled.sigma_param[static_cast<size_t>(t)];
+        size_t pi = static_cast<size_t>(p);
+        double g = g_sigma * compiled.sigma_coeff[static_cast<size_t>(t)] +
+                   options.l2 * w[pi];
         double step = eta;
-        if (options.use_adagrad) step *= adagrad.Step(t.param, g);
+        if (options.use_adagrad) step *= adagrad.Step(p, g);
         w[pi] -= step * g;
-        if (options.l1 > 0.0 && (layout.IsFeatureParam(t.param) ||
-                                 layout.IsCopyParam(t.param))) {
+        if (options.l1 > 0.0 &&
+            (layout.IsFeatureParam(p) || layout.IsCopyParam(p))) {
           w[pi] = SoftThreshold(w[pi], step * options.l1);
         }
       }
@@ -385,8 +448,7 @@ Result<FitStats> ErmLearner::FitAccuracyLoss(
         "accuracy-loss ERM requires at least one labeled observation");
   }
   if (options_.batch) {
-    SourceStats stats(
-        static_cast<int64_t>(model->compiled().sigma_terms.size()));
+    SourceStats stats(model->compiled().num_sources);
     for (const ObservationExample& ex : examples) {
       stats.Add(ex.source, ex.label, ex.weight);
     }
@@ -396,8 +458,7 @@ Result<FitStats> ErmLearner::FitAccuracyLoss(
 }
 
 /// The one full-batch accuracy log-loss loop: per epoch, trust scores via
-/// TermProducts + FoldRanges over the sigma CSR (gathered once from the
-/// compiled model), sigmoid and softplus per source, a gradient scatter
+/// TermProducts + FoldRanges over the compiled model's σ CSR, sigmoid and softplus per source, a gradient scatter
 /// onto the compact set of touched parameters, and a fused AdaGradProx
 /// update. The per-source loss uses the clamp-free algebraic form of
 /// binary cross-entropy, -y·log a - (1-y)·log(1-a) = log(1+exp(-σ)) +
@@ -409,8 +470,7 @@ Result<FitStats> ErmLearner::FitSourceStats(const SourceStats& source_stats,
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
   const CompiledModel& compiled = model->compiled();
-  const int64_t num_sources =
-      static_cast<int64_t>(compiled.sigma_terms.size());
+  const int64_t num_sources = compiled.num_sources;
   if (static_cast<int64_t>(source_stats.weight.size()) != num_sources ||
       source_stats.label.size() != source_stats.weight.size()) {
     return Status::InvalidArgument(
@@ -424,19 +484,9 @@ Result<FitStats> ErmLearner::FitSourceStats(const SourceStats& source_stats,
         "accuracy-loss ERM requires at least one labeled observation");
   }
 
-  // Sigma-term CSR in SoA form, gathered once per fit.
-  std::vector<int64_t> sg_begin;
-  sg_begin.reserve(static_cast<size_t>(num_sources) + 1);
-  sg_begin.push_back(0);
-  std::vector<double> sg_coeff;
-  std::vector<ParamId> sg_param;
-  for (const auto& source_terms : compiled.sigma_terms) {
-    for (const ParamTerm& t : source_terms) {
-      sg_coeff.push_back(t.coeff);
-      sg_param.push_back(t.param);
-    }
-    sg_begin.push_back(static_cast<int64_t>(sg_coeff.size()));
-  }
+  const std::vector<int64_t>& sg_begin = compiled.sigma_begin;
+  const std::vector<double>& sg_coeff = compiled.sigma_coeff;
+  const std::vector<ParamId>& sg_param = compiled.sigma_param;
   const int64_t num_sg = static_cast<int64_t>(sg_coeff.size());
 
   // Compact parameter set touched by sigma terms, in first-touch order,
@@ -545,8 +595,7 @@ Result<FitStats> ErmLearner::Fit(const Dataset& dataset,
   }
   switch (options_.loss) {
     case ErmLoss::kObjectPosterior: {
-      auto examples =
-          ObjectExamples(dataset, model->compiled(), train_objects);
+      auto examples = ObjectExamples(*instance, train_objects);
       return FitObjectLoss(examples, model, rng, exec, instance);
     }
     case ErmLoss::kAccuracyLogLoss: {

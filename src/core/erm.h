@@ -14,12 +14,11 @@ namespace slimfast {
 
 struct CompiledInstance;
 
-/// One (possibly weighted) labeled object: compiled row index and the index
-/// of the target value within the object's domain. ERM consumes true
-/// labels (weight 1); soft EM's M-step consumes posterior-weighted
-/// pseudo-labels.
+/// One (possibly weighted) labeled object: the object and the index of
+/// the target value within its candidate domain. ERM consumes true labels
+/// (weight 1); soft EM's M-step consumes posterior-weighted pseudo-labels.
 struct LabeledExample {
-  int32_t row;
+  ObjectId object;
   int32_t target_index;
   double weight = 1.0;
 };
@@ -75,29 +74,30 @@ class ErmLearner {
   const ErmOptions& options() const { return options_; }
 
   /// Builds object-posterior examples from the training objects of a split:
-  /// one example per train object whose true value appears in its observed
-  /// domain (single-truth semantics guarantees this for well-formed data).
+  /// one example per train object whose true value (from the instance's
+  /// store) is one of its candidates.
   static std::vector<LabeledExample> ObjectExamples(
-      const Dataset& dataset, const CompiledModel& compiled,
+      const CompiledInstance& instance,
       const std::vector<ObjectId>& train_objects);
 
   /// Builds accuracy-loss examples: one per claim made on a train object.
   static std::vector<ObservationExample> ObservationExamples(
       const Dataset& dataset, const std::vector<ObjectId>& train_objects);
 
-  /// Fits `model` in place on object-posterior examples (Eq. 4 likelihood),
-  /// walking the flat CSR rows of `instance` — the compilation `model` was
-  /// built on. A null `instance` is InvalidArgument. Batch mode shards the
-  /// per-row gradient accumulation across `exec` (null = serial; results
-  /// are identical either way); SGD mode is inherently sequential — each
-  /// step reads the previous step's weights — and always runs serially.
+  /// Fits `model` in place on object-posterior examples (Eq. 4 likelihood)
+  /// over `instance` — the compilation `model` was built on. A null
+  /// `instance` is InvalidArgument. Through σ the gradient factors as
+  /// g_w = Σ_s g_σs · ∂σ_s/∂w, with g_σs accumulated per claim. Batch mode
+  /// shards that accumulation across `exec` (null = serial; results are
+  /// identical either way); SGD mode is inherently sequential — each step
+  /// reads the previous step's weights — and always runs serially.
   Result<FitStats> FitObjectLoss(const std::vector<LabeledExample>& examples,
                                  SlimFastModel* model, Rng* rng,
                                  Executor* exec,
                                  const CompiledInstance* instance) const;
 
   /// Fits `model` in place on accuracy log-loss examples (Definition 7).
-  /// Trust scores read the compiled model's sigma terms, so `instance` is
+  /// Trust scores read the compiled model's σ CSR, so `instance` is
   /// not read and may be null. With options().batch set, collapses the
   /// examples into SourceStats and runs FitSourceStats instead of SGD
   /// (`rng` is unused — no shuffling).

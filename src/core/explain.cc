@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "util/math.h"
@@ -41,17 +42,19 @@ Result<ObjectExplanation> ExplainObject(const SlimFastModel& model,
   if (object < 0 || object >= dataset.num_objects()) {
     return Status::OutOfRange("object id out of range");
   }
-  const CompiledObject* row = model.compiled().RowOf(object);
-  if (row == nullptr) {
+  const std::vector<double> sigma = model.TrustScores();
+  std::vector<double> probs;
+  if (!model.Posterior(object, sigma, &probs)) {
     return Status::FailedPrecondition(
         "object has no observations; nothing to explain");
   }
 
+  const ObservationStore& store = model.instance().store;
+  const IndexRange cands = store.DomainRange(object);
   ObjectExplanation out;
   out.object = object;
-  out.candidates = row->domain;
-  std::vector<double> probs;
-  model.Posterior(*row, &probs);
+  out.candidates.assign(store.domain_values().begin() + cands.begin,
+                        store.domain_values().begin() + cands.end);
   out.posterior = probs;
 
   // Predicted and runner-up by posterior.
@@ -63,18 +66,20 @@ Result<ObjectExplanation> ExplainObject(const SlimFastModel& model,
   for (size_t di = 0; di < probs.size(); ++di) {
     if (di != best && probs[di] > probs[second]) second = di;
   }
-  out.predicted = row->domain[best];
-  out.runner_up = probs.size() > 1 ? row->domain[second] : kNoValue;
-  out.log_odds_margin =
-      probs.size() > 1 ? model.ValueScore(*row, best) -
-                             model.ValueScore(*row, second)
-                       : std::numeric_limits<double>::infinity();
+  out.predicted = out.candidates[best];
+  out.runner_up = probs.size() > 1 ? out.candidates[second] : kNoValue;
+  std::vector<double> scores(probs.size());
+  CandidateScores(model.instance(), object, sigma.data(),
+                  model.weights().data(), scores.data());
+  out.log_odds_margin = probs.size() > 1
+                            ? scores[best] - scores[second]
+                            : std::numeric_limits<double>::infinity();
 
   for (const SourceClaim& claim : dataset.ClaimsOnObject(object)) {
     ClaimContribution c;
     c.source = claim.source;
     c.value = claim.value;
-    c.trust_score = model.SourceScore(claim.source);
+    c.trust_score = sigma[static_cast<size_t>(claim.source)];
     c.accuracy = Sigmoid(c.trust_score);
     DecomposeSigma(model, dataset, claim.source, &c.source_weight,
                    &c.feature_names, &c.feature_weights);

@@ -159,13 +159,11 @@ Result<FusionSession> FusionSession::Restore(const ObservationStore& store,
 Result<IngestStats> FusionSession::Ingest(const ObservationBatch& batch) {
   obs::TraceSpan span("core.ingest");
   Stopwatch watch;
-  std::vector<ObjectId> recompiled_rows;
   // DeltaCompile validates the batch via AppendBatch and leaves the
   // session untouched on failure; the accumulators below only advance
   // once the new instance exists.
-  SLIMFAST_ASSIGN_OR_RETURN(
-      std::shared_ptr<const CompiledInstance> next,
-      DeltaCompile(*instance_, batch, exec_.get(), &recompiled_rows));
+  SLIMFAST_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledInstance> next,
+                            DeltaCompile(*instance_, batch));
   instance_ = std::move(next);
 
   observations_.insert(observations_.end(), batch.observations.begin(),
@@ -181,7 +179,6 @@ Result<IngestStats> FusionSession::Ingest(const ObservationBatch& batch) {
   stats.batch_observations =
       static_cast<int64_t>(batch.observations.size());
   stats.batch_truths = static_cast<int64_t>(batch.truths.size());
-  stats.touched_objects = static_cast<int32_t>(recompiled_rows.size());
   stats.seconds = watch.ElapsedSeconds();
   if (obs::Enabled()) {
     static obs::LatencyHistogram* delta_hist =
@@ -267,13 +264,16 @@ void FusionSession::RefreshPosteriors(const SlimFastModel& model) {
   posterior_values_.clear();
   posterior_probs_.clear();
   max_posterior_.assign(static_cast<size_t>(num_objects_), 0.0);
+  const ObservationStore& store = model.instance().store;
+  const std::vector<double> sigma = model.TrustScores();
   std::vector<double> probs;
   for (ObjectId o = 0; o < num_objects_; ++o) {
-    const CompiledObject* row = model.compiled().RowOf(o);
-    if (row != nullptr) {
-      model.Posterior(*row, &probs);
-      posterior_values_.insert(posterior_values_.end(), row->domain.begin(),
-                               row->domain.end());
+    if (model.Posterior(o, sigma, &probs)) {
+      const IndexRange cands = store.DomainRange(o);
+      posterior_values_.insert(
+          posterior_values_.end(),
+          store.domain_values().begin() + cands.begin,
+          store.domain_values().begin() + cands.end);
       posterior_probs_.insert(posterior_probs_.end(), probs.begin(),
                               probs.end());
       max_posterior_[static_cast<size_t>(o)] =

@@ -21,7 +21,7 @@ namespace slimfast {
 struct FusionSessionOptions {
   /// Model, learner, and execution configuration shared with the batch
   /// facade. `exec.threads` sizes the session's executor, which shards
-  /// both delta-compilation and relearning.
+  /// relearning.
   SlimFastOptions slimfast;
   /// Session name, used as the name of the datasets it rebuilds.
   std::string name = "fusion-session";
@@ -39,9 +39,6 @@ struct FusionSessionOptions {
 struct IngestStats {
   int64_t batch_observations = 0;
   int64_t batch_truths = 0;
-  /// Rows DeltaCompile actually re-derived (batch-touched objects with
-  /// observations; everything else was carried over).
-  int32_t touched_objects = 0;
   /// Wall-clock of the store splice + delta compilation.
   double seconds = 0.0;
 };
@@ -63,28 +60,26 @@ struct RelearnStats {
 };
 
 /// A long-lived incremental fusion engine: `Ingest(batch)` absorbs new
-/// observations by delta-compiling the instance (touched rows only),
-/// `Relearn()` refines the model from the previous weights on a short
-/// schedule, and `Query(object)` serves the current estimate — the
-/// serving-path counterpart of the one-shot `SlimFast::Run`.
+/// observations by delta-compiling the instance, `Relearn()` refines the
+/// model from the previous weights on a short schedule, and
+/// `Query(object)` serves the current estimate — the serving-path
+/// counterpart of the one-shot `SlimFast::Run`.
 ///
 /// The session keeps a single `CompiledInstance` alive across its life.
-/// Each ingest extends it through `ObservationStore::AppendBatch` +
-/// `DeltaCompile`: the expensive structural work — re-deriving a row's
-/// per-candidate term expressions — is paid only for the rows the batch
-/// touches, while untouched rows are carried over by one linear splice
-/// pass (the O(history) memcpy-style assembly that remains; ingest is a
-/// constant-factor win over recompiling, not an asymptotic one). The
-/// result is bitwise-equal to recompiling the concatenated history from
-/// scratch (asserted in tests and re-checked by `slimfast_cli bench`).
-/// Relearning warm-starts from the previous fit
-/// (`SlimFast::FitCompiled`), cutting the epoch budget to
-/// `WarmStartOptions::budget_scale` of a cold run.
+/// Each ingest extends it through `DeltaCompile`: the store splice of
+/// `ObservationStore::AppendBatch` plus the linear derive pass a full
+/// compile runs (claim candidates, offsets). The parameter structure and
+/// every trust-score expression carry over, since new claims change
+/// neither, so the result is bitwise-equal to recompiling the
+/// concatenated history from scratch by construction (asserted in tests
+/// and re-checked by `slimfast_cli replay`). Relearning warm-starts from
+/// the previous fit (`SlimFast::FitCompiled`), cutting the epoch budget
+/// to `WarmStartOptions::budget_scale` of a cold run.
 ///
 /// Determinism: with a fixed options seed, the sequence of predictions is
-/// a pure function of the ingest sequence — delta compilation is sharded
-/// but slot-per-row, and relearning inherits the exec layer's fixed-shard
-/// reduce, so `exec.threads` never changes any estimate.
+/// a pure function of the ingest sequence — relearning inherits the exec
+/// layer's fixed-shard reduce, so `exec.threads` never changes any
+/// estimate.
 ///
 /// The session is single-threaded from the caller's perspective (like an
 /// `Executor`, it is driven from one thread; internal stages fan out).
@@ -152,9 +147,9 @@ class FusionSession {
                                        FeatureSpace features = FeatureSpace());
 
   /// Absorbs one batch: validates it, splices the columnar store, and
-  /// delta-compiles the touched rows (sharded across the session
-  /// executor). On error the session is unchanged. Does not relearn —
-  /// callers batch several ingests per relearn under heavy traffic.
+  /// re-derives the instance's scoring arrays (DeltaCompile). On error the
+  /// session is unchanged. Does not relearn — callers batch several
+  /// ingests per relearn under heavy traffic.
   Result<IngestStats> Ingest(const ObservationBatch& batch);
 
   /// Refits the model on everything ingested so far: all objects with

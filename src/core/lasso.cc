@@ -68,10 +68,9 @@ Result<LassoPath> ComputeLassoPath(const Dataset& dataset,
   config.use_feature_weights = true;
   SLIMFAST_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledInstance> instance,
                             CompileInstance(dataset, config));
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
 
-  auto examples =
-      ErmLearner::ObjectExamples(dataset, model.compiled(), split.train_objects);
+  auto examples = ErmLearner::ObjectExamples(*instance, split.train_objects);
   if (examples.empty()) {
     return Status::FailedPrecondition(
         "Lasso path requires training labels in the split");

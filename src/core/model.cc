@@ -1,43 +1,27 @@
 #include "core/model.h"
 
-#include <cmath>
+#include <utility>
 
-#include "simd/simd.h"
 #include "util/logging.h"
 #include "util/math.h"
 
 namespace slimfast {
 
-// All score accumulations fold through simd::LaneStableSum — the one
-// accumulation contract shared with the batched CSR kernels — so a score
-// computed row-at-a-time here is bit-identical to the same score computed
-// by the TermProducts + FoldRanges pipeline in the E-step and batch ERM.
-
-SlimFastModel::SlimFastModel(CompiledModel compiled)
-    : SlimFastModel(
-          std::make_shared<const CompiledModel>(std::move(compiled))) {}
-
-SlimFastModel::SlimFastModel(std::shared_ptr<const CompiledModel> compiled)
-    : compiled_(std::move(compiled)),
-      weights_(static_cast<size_t>(compiled_->layout.num_params), 0.0) {}
+SlimFastModel::SlimFastModel(std::shared_ptr<const CompiledInstance> instance)
+    : instance_(std::move(instance)),
+      weights_(static_cast<size_t>(compiled().layout.num_params), 0.0) {}
 
 void SlimFastModel::SetWeights(std::vector<double> weights) {
   SLIMFAST_DCHECK(
-      weights.size() == static_cast<size_t>(compiled_->layout.num_params),
+      weights.size() == static_cast<size_t>(compiled().layout.num_params),
       "weight vector size mismatch");
   weights_ = std::move(weights);
 }
 
 double SlimFastModel::SourceScore(SourceId source) const {
-  SLIMFAST_DCHECK(source >= 0 && source < compiled_->num_sources,
+  SLIMFAST_DCHECK(source >= 0 && source < compiled().num_sources,
                   "source id out of range");
-  const std::vector<ParamTerm>& terms =
-      compiled_->sigma_terms[static_cast<size_t>(source)];
-  return simd::LaneStableSum(
-      static_cast<int64_t>(terms.size()), [&](int64_t i) {
-        const ParamTerm& t = terms[static_cast<size_t>(i)];
-        return t.coeff * weights_[static_cast<size_t>(t.param)];
-      });
+  return TrustScore(compiled(), weights_.data(), source);
 }
 
 double SlimFastModel::SourceAccuracy(SourceId source) const {
@@ -45,72 +29,82 @@ double SlimFastModel::SourceAccuracy(SourceId source) const {
 }
 
 std::vector<double> SlimFastModel::AllSourceAccuracies() const {
-  std::vector<double> accuracies(static_cast<size_t>(compiled_->num_sources));
-  for (SourceId s = 0; s < compiled_->num_sources; ++s) {
-    accuracies[static_cast<size_t>(s)] = SourceAccuracy(s);
-  }
+  std::vector<double> accuracies = TrustScores();
+  for (double& a : accuracies) a = Sigmoid(a);
   return accuracies;
 }
 
-double SlimFastModel::ValueScore(const CompiledObject& row, size_t di) const {
-  const std::vector<ParamTerm>& terms = row.terms[di];
-  return row.offsets[di] +
-         simd::LaneStableSum(
-             static_cast<int64_t>(terms.size()), [&](int64_t i) {
-               const ParamTerm& t = terms[static_cast<size_t>(i)];
-               return t.coeff * weights_[static_cast<size_t>(t.param)];
-             });
+std::vector<double> SlimFastModel::TrustScores() const {
+  std::vector<double> sigma;
+  slimfast::TrustScores(compiled(), weights_, &sigma);
+  return sigma;
 }
 
-void SlimFastModel::Posterior(const CompiledObject& row,
+void SlimFastModel::Scores(ObjectId object, const std::vector<double>& sigma,
+                           std::vector<double>* scores) const {
+  scores->resize(static_cast<size_t>(instance_->DomainSize(object)));
+  CandidateScores(*instance_, object, sigma.data(), weights_.data(),
+                  scores->data());
+}
+
+bool SlimFastModel::Posterior(ObjectId object,
+                              const std::vector<double>& sigma,
                               std::vector<double>* probs) const {
-  probs->resize(row.domain.size());
-  for (size_t di = 0; di < row.domain.size(); ++di) {
-    (*probs)[di] = ValueScore(row, di);
+  if (object < 0 || object >= instance_->num_objects() ||
+      instance_->DomainSize(object) == 0) {
+    return false;
   }
+  Scores(object, sigma, probs);
   SoftmaxInPlace(probs);
-}
-
-bool SlimFastModel::PosteriorOf(ObjectId object,
-                                std::vector<double>* probs) const {
-  const CompiledObject* row = compiled_->RowOf(object);
-  if (row == nullptr) return false;
-  Posterior(*row, probs);
   return true;
 }
 
-int32_t SlimFastModel::MapIndex(const CompiledObject& row) const {
+namespace {
+
+int32_t ArgMax(const std::vector<double>& scores) {
   int32_t best = 0;
-  double best_score = ValueScore(row, 0);
-  for (size_t di = 1; di < row.domain.size(); ++di) {
-    double score = ValueScore(row, di);
-    if (score > best_score) {
-      best_score = score;
+  for (size_t di = 1; di < scores.size(); ++di) {
+    if (scores[di] > scores[static_cast<size_t>(best)]) {
       best = static_cast<int32_t>(di);
     }
   }
   return best;
 }
 
+}  // namespace
+
+int32_t SlimFastModel::MapIndex(ObjectId object,
+                                const std::vector<double>& sigma) const {
+  if (instance_->DomainSize(object) == 0) return -1;
+  std::vector<double> scores;
+  Scores(object, sigma, &scores);
+  return ArgMax(scores);
+}
+
 std::vector<ValueId> SlimFastModel::PredictAll() const {
-  std::vector<ValueId> predictions(compiled_->object_row.size(), kNoValue);
-  for (const CompiledObject& row : compiled_->objects) {
-    predictions[static_cast<size_t>(row.object)] =
-        row.domain[static_cast<size_t>(MapIndex(row))];
+  const ObservationStore& store = instance_->store;
+  std::vector<ValueId> predictions(static_cast<size_t>(store.num_objects()),
+                                   kNoValue);
+  const std::vector<double> sigma = TrustScores();
+  std::vector<double> scores;
+  for (ObjectId o = 0; o < store.num_objects(); ++o) {
+    const IndexRange cands = store.DomainRange(o);
+    if (cands.empty()) continue;
+    Scores(o, sigma, &scores);
+    predictions[static_cast<size_t>(o)] = store.domain_values()[
+        static_cast<size_t>(cands.begin + ArgMax(scores))];
   }
   return predictions;
 }
 
-double SlimFastModel::ObjectNll(const CompiledObject& row,
+double SlimFastModel::ObjectNll(ObjectId object,
+                                const std::vector<double>& sigma,
                                 int32_t target_index) const {
-  SLIMFAST_DCHECK(
-      target_index >= 0 &&
-          target_index < static_cast<int32_t>(row.domain.size()),
-      "target index out of range");
-  std::vector<double> scores(row.domain.size());
-  for (size_t di = 0; di < row.domain.size(); ++di) {
-    scores[di] = ValueScore(row, di);
-  }
+  SLIMFAST_DCHECK(target_index >= 0 &&
+                      target_index < instance_->DomainSize(object),
+                  "target index out of range");
+  std::vector<double> scores;
+  Scores(object, sigma, &scores);
   return LogSumExp(scores) - scores[static_cast<size_t>(target_index)];
 }
 

@@ -26,7 +26,7 @@ struct ModelConfig {
   /// pairs win). 0 disables the cap.
   int64_t copying_max_pairs = 50000;
   /// Apply the multiclass vote correction log(|D_o| - 1) per matching
-  /// claim (see CompiledObject::offsets). With more than two candidate
+  /// claim (see CompiledInstance::cand_offsets). With more than two candidate
   /// values and wrong claims spread across them, a claim's correct
   /// Naive-Bayes vote is σ_s + log(|D_o| - 1) (ACCU's n factor); without
   /// the offset, sources whose agreement rate is below 0.5 but above

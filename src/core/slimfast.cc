@@ -70,12 +70,12 @@ Result<SlimFastFit> SlimFast::FitCompiled(
   if (instance == nullptr) {
     return Status::InvalidArgument("FitCompiled requires an instance");
   }
-  std::shared_ptr<const CompiledModel> compiled = instance->model;
+  const CompiledModel& compiled = *instance->model;
   obs::TraceSpan learn_span("core.learn");
   OptimizerDecision decision;
   Algorithm algorithm = options_.algorithm;
   if (algorithm == Algorithm::kAuto) {
-    decision = DecideAlgorithm(dataset, split, compiled->layout.num_params,
+    decision = DecideAlgorithm(dataset, split, compiled.layout.num_params,
                                options_.optimizer);
     algorithm = decision.algorithm;
   } else {
@@ -88,7 +88,7 @@ Result<SlimFastFit> SlimFast::FitCompiled(
   const bool warm =
       options_.warm_start.enabled && warm_weights != nullptr &&
       warm_weights->size() ==
-          static_cast<size_t>(compiled->layout.num_params);
+          static_cast<size_t>(compiled.layout.num_params);
   ErmOptions erm_options = options_.erm;
   EmOptions em_options = options_.em;
   if (warm) {
@@ -104,7 +104,7 @@ Result<SlimFastFit> SlimFast::FitCompiled(
   }
 
   Stopwatch learn_watch;
-  SlimFastModel model(compiled);
+  SlimFastModel model(instance);
   if (warm) model.SetWeights(*warm_weights);
   const CompiledInstance* inst = instance.get();
   Rng rng(seed);

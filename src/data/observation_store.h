@@ -184,6 +184,12 @@ class ObservationStore {
 
   const std::vector<ValueId>& domain_values() const { return domain_values_; }
 
+  /// Per-object CSR offsets into domain_values() (size num_objects + 1);
+  /// DomainRange is the per-object view.
+  const std::vector<int64_t>& domain_offsets() const {
+    return domain_offsets_;
+  }
+
   /// Ground truth per object (kNoValue when unknown).
   const std::vector<ValueId>& truth() const { return truth_; }
 

@@ -33,12 +33,15 @@ inline constexpr int32_t kFixedShardCount = 32;
 /// in shard order, and never wakes (or starts) the pool. The shard cuts
 /// and the fold order are the ones the pool would use, so the results are
 /// bit-identical either way; only the dispatch cost goes. The unit is one
-/// compiled term or claim visited, the inner step of the EM E-step, the
-/// one caller that passes an estimate: the sweep below timed only it, so
-/// other stages keep dispatching until their own crossover is measured.
+/// σ term, claim or candidate visited, the inner steps of the EM E-step,
+/// the one caller that passes an estimate: the sweep below timed only it,
+/// so other stages keep dispatching until their own crossover is
+/// measured.
 ///
-/// The value comes from a sweep on a shared 4-vCPU host: one EM E-step on
-/// the fuse_em shape (150 sources, density 0.05, four feature groups)
+/// The value comes from a sweep on a shared 4-vCPU host, taken when the
+/// E-step walked per-candidate term lists and counted one unit per term
+/// or claim; it has not been re-swept in the current units. One EM
+/// E-step on the fuse_em shape (150 sources, density 0.05, four feature groups)
 /// with 125 to 32,000 objects, median time per round inline and on a
 /// 4-thread pool. The host alternates between a fast state, where four
 /// threads get four cores, and a slow one, where they share about one.

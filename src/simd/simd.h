@@ -151,11 +151,10 @@ inline void AdaGradProx(double* w, double* accum, const double* g,
 }
 
 /// Lane-stable sum of value_at(0..n-1) for call sites that accumulate
-/// from AoS structures (model scores, sigma dots) rather than a flat
-/// buffer. Produces exactly the bits of the kernels' LaneSum over the
-/// same values, so per-row score paths (SlimFastModel::ValueScore,
-/// SparseValueScore) stay bitwise interchangeable with the batched
-/// TermProducts + FoldRanges pipeline.
+/// without a flat product buffer (one source's trust score). Produces
+/// exactly the bits of the kernels' LaneSum over the same values, so a
+/// single σ_s (TrustScore) stays bitwise interchangeable with the batched
+/// TermProducts + FoldRanges pipeline (TrustScores).
 template <typename F>
 inline double LaneStableSum(int64_t n, F&& value_at) {
   if (n <= kAccLanes) {

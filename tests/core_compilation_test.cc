@@ -1,6 +1,9 @@
+#include <cmath>
+
 #include <gtest/gtest.h>
 
-#include "core/compilation.h"
+#include "core/compiled_instance.h"
+#include "core/model.h"
 #include "test_util.h"
 
 namespace slimfast {
@@ -45,17 +48,23 @@ TEST(CompilationTest, LayoutPredicates) {
   EXPECT_FALSE(model.layout.IsCopyParam(4));
 }
 
+/// Parameters of σ_s's terms, in CSR order.
+std::vector<ParamId> SigmaParams(const CompiledModel& model, SourceId s) {
+  return std::vector<ParamId>(
+      model.sigma_param.begin() + model.sigma_begin[static_cast<size_t>(s)],
+      model.sigma_param.begin() +
+          model.sigma_begin[static_cast<size_t>(s) + 1]);
+}
+
 TEST(CompilationTest, SigmaTermsContainSourceAndFeatures) {
   Dataset d = MakeFeatureDataset();
   auto model = Compile(d, ModelConfig{}).ValueOrDie();
+  ASSERT_EQ(model.sigma_begin.size(), 4u);
   // Source 0: own weight + features k0, k1.
-  const auto& terms0 = model.sigma_terms[0];
-  ASSERT_EQ(terms0.size(), 3u);
-  EXPECT_EQ(terms0[0], (ParamTerm{0, 1.0}));
-  EXPECT_EQ(terms0[1], (ParamTerm{3, 1.0}));
-  EXPECT_EQ(terms0[2], (ParamTerm{4, 1.0}));
+  EXPECT_EQ(SigmaParams(model, 0), (std::vector<ParamId>{0, 3, 4}));
+  for (double coeff : model.sigma_coeff) EXPECT_EQ(coeff, 1.0);
   // Source 2: no features.
-  EXPECT_EQ(model.sigma_terms[2].size(), 1u);
+  EXPECT_EQ(SigmaParams(model, 2), (std::vector<ParamId>{2}));
 }
 
 TEST(CompilationTest, SourcesOnlyConfig) {
@@ -65,8 +74,8 @@ TEST(CompilationTest, SourcesOnlyConfig) {
   auto model = Compile(d, config).ValueOrDie();
   EXPECT_EQ(model.layout.num_params, 3);
   EXPECT_EQ(model.layout.num_feature_params, 0);
-  for (const auto& terms : model.sigma_terms) {
-    EXPECT_EQ(terms.size(), 1u);
+  for (SourceId s = 0; s < 3; ++s) {
+    EXPECT_EQ(SigmaParams(model, s), (std::vector<ParamId>{s}));
   }
 }
 
@@ -77,7 +86,7 @@ TEST(CompilationTest, FeatureOnlyConfig) {
   auto model = Compile(d, config).ValueOrDie();
   EXPECT_EQ(model.layout.num_params, 2);
   // Source 2 has no features, so its sigma expression is empty (score 0).
-  EXPECT_TRUE(model.sigma_terms[2].empty());
+  EXPECT_TRUE(SigmaParams(model, 2).empty());
 }
 
 TEST(CompilationTest, RejectsNoParameterGroups) {
@@ -95,22 +104,27 @@ TEST(CompilationTest, RejectsFeatureOnlyWithoutFeatures) {
   EXPECT_TRUE(Compile(d, config).status().IsFailedPrecondition());
 }
 
+/// Raw candidate scores of `object` under `model`'s weights.
+std::vector<double> ScoresOf(const SlimFastModel& model, ObjectId object) {
+  const std::vector<double> sigma = model.TrustScores();
+  std::vector<double> scores(
+      static_cast<size_t>(model.instance().DomainSize(object)));
+  CandidateScores(model.instance(), object, sigma.data(),
+                  model.weights().data(), scores.data());
+  return scores;
+}
+
 TEST(CompilationTest, ObjectTermsAggregateClaimingSigmas) {
   Dataset d = MakeFeatureDataset();
-  auto model = Compile(d, ModelConfig{}).ValueOrDie();
-  const CompiledObject* row = model.RowOf(0);
-  ASSERT_NE(row, nullptr);
-  ASSERT_EQ(row->domain, (std::vector<ValueId>{0, 1}));
-  // Value 0 claimed only by source 2: term = {w_s2: 1}.
-  ASSERT_EQ(row->terms[0].size(), 1u);
-  EXPECT_EQ(row->terms[0][0], (ParamTerm{2, 1.0}));
-  // Value 1 claimed by sources 0 and 1: w_s0 + w_s1 + k0 + 2*k1.
-  const auto& t1 = row->terms[1];
-  ASSERT_EQ(t1.size(), 4u);
-  EXPECT_EQ(t1[0], (ParamTerm{0, 1.0}));
-  EXPECT_EQ(t1[1], (ParamTerm{1, 1.0}));
-  EXPECT_EQ(t1[2], (ParamTerm{3, 1.0}));  // k0 from source 0
-  EXPECT_EQ(t1[3], (ParamTerm{4, 2.0}));  // k1 from sources 0 and 1
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
+  // Object 0: value 0 claimed by source 2; value 1 by sources 0 and 1.
+  EXPECT_EQ(model.instance().claim_cand, (std::vector<int32_t>{1, 1, 0, 0}));
+  // Weights are powers of two, so every sum below is exact.
+  model.SetWeights({1.0, 2.0, 4.0, 8.0, 16.0});  // w_s0..w_s2, k0, k1
+  // Value 0: σ_2 = w_s2. Value 1: σ_0 + σ_1 = w_s0 + k0 + k1 + w_s1 + k1.
+  EXPECT_EQ(ScoresOf(model, 0), (std::vector<double>{4.0, 43.0}));
+  // Object 1: value 0 claimed by source 1 alone.
+  EXPECT_EQ(ScoresOf(model, 1), (std::vector<double>{18.0}));
 }
 
 TEST(CompilationTest, UnobservedObjectsHaveNoRow) {
@@ -118,20 +132,28 @@ TEST(CompilationTest, UnobservedObjectsHaveNoRow) {
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 1));
   SLIMFAST_CHECK_OK(builder.AddObservation(2, 1, 0));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  auto model = Compile(d, ModelConfig{}).ValueOrDie();
-  EXPECT_NE(model.RowOf(0), nullptr);
-  EXPECT_EQ(model.RowOf(1), nullptr);
-  EXPECT_NE(model.RowOf(2), nullptr);
-  EXPECT_EQ(model.objects.size(), 2u);
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  EXPECT_EQ(instance->DomainSize(0), 1);
+  EXPECT_EQ(instance->DomainSize(1), 0);
+  EXPECT_EQ(instance->DomainSize(2), 1);
+  EXPECT_EQ(instance->cand_offsets.size(), 2u);
+  std::vector<double> probs;
+  EXPECT_FALSE(SlimFastModel(instance).PosteriorOf(1, &probs));
 }
 
 TEST(CompilationTest, DomainIndexLookup) {
   Dataset d = MakeFeatureDataset();
-  auto model = Compile(d, ModelConfig{}).ValueOrDie();
-  const CompiledObject* row = model.RowOf(0);
-  EXPECT_EQ(row->DomainIndex(0), 0);
-  EXPECT_EQ(row->DomainIndex(1), 1);
-  EXPECT_EQ(row->DomainIndex(7), -1);
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  EXPECT_EQ(instance->store.DomainIndexOf(0, 0), 0);
+  EXPECT_EQ(instance->store.DomainIndexOf(0, 1), 1);
+  EXPECT_EQ(instance->store.DomainIndexOf(0, 7), -1);
+  // Each claim's candidate index is the store's domain index of its value.
+  const ObservationStore& store = instance->store;
+  for (int64_t i = 0; i < store.num_observations(); ++i) {
+    const size_t k = static_cast<size_t>(i);
+    EXPECT_EQ(instance->claim_cand[k],
+              store.DomainIndexOf(store.objects()[k], store.values()[k]));
+  }
 }
 
 Dataset MakeCopyingDataset() {
@@ -179,22 +201,65 @@ TEST(CompilationTest, CopyingTermsPenalizeAgreedValue) {
   ModelConfig config;
   config.use_copying_features = true;
   config.copying_min_agreements = 2;
-  auto model = Compile(d, config).ValueOrDie();
-  ASSERT_GE(model.layout.num_copy_params, 1);
-  ParamId copy_param = model.layout.copy_offset;
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
+  const ParamLayout& layout = model.layout();
+  ASSERT_EQ(layout.num_copy_params, 1);
   // On object 0 the pair (0,1) agreed on value 1, so the copy parameter
-  // appears on candidate 0 (the value they did NOT claim).
-  const CompiledObject* row = model.RowOf(0);
-  bool on_candidate0 = false;
-  bool on_candidate1 = false;
-  for (const ParamTerm& t : row->terms[0]) {
-    if (t.param == copy_param) on_candidate0 = true;
-  }
-  for (const ParamTerm& t : row->terms[1]) {
-    if (t.param == copy_param) on_candidate1 = true;
-  }
-  EXPECT_TRUE(on_candidate0);
-  EXPECT_FALSE(on_candidate1);
+  // fires on candidate 0 (the value they did NOT claim) and only there.
+  const CompiledInstance& inst = model.instance();
+  ASSERT_EQ(inst.copy_begin[1] - inst.copy_begin[0], 1);
+  EXPECT_EQ(inst.copy_param[0], layout.copy_offset);
+  EXPECT_EQ(inst.copy_cand[0], 1);
+  // Object 3 has no agreeing registered pair.
+  EXPECT_EQ(inst.copy_begin[4] - inst.copy_begin[3], 0);
+  std::vector<double> w(static_cast<size_t>(layout.num_params), 0.0);
+  w[static_cast<size_t>(layout.copy_offset)] = 1.5;
+  model.SetWeights(w);
+  EXPECT_EQ(ScoresOf(model, 0), (std::vector<double>{1.5, 0.0}));
+}
+
+TEST(CompilationTest, SharedFeatureSourcesScoreAsOffsetPlusSigmaSums) {
+  // Sources 0 and 1 share feature k and both claim value 2 of object 0;
+  // source 2 claims value 0 and source 3 value 1, so |D_0| = 3 and each
+  // claim carries the multiclass offset log 2. The pair (0, 1) agrees on
+  // objects 0 and 1 and becomes the one copy pair.
+  DatasetBuilder builder("shared", 4, 2, 3);
+  FeatureSpace* fs = builder.mutable_features();
+  FeatureId k = fs->RegisterFeature("k");
+  SLIMFAST_CHECK_OK(fs->SetFeature(0, k));
+  SLIMFAST_CHECK_OK(fs->SetFeature(1, k));
+  SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 2));
+  SLIMFAST_CHECK_OK(builder.AddObservation(0, 2, 0));
+  SLIMFAST_CHECK_OK(builder.AddObservation(0, 1, 2));
+  SLIMFAST_CHECK_OK(builder.AddObservation(0, 3, 1));
+  SLIMFAST_CHECK_OK(builder.AddObservation(1, 0, 1));
+  SLIMFAST_CHECK_OK(builder.AddObservation(1, 1, 1));
+  Dataset d = std::move(builder).Build().ValueOrDie();
+  ModelConfig config;
+  config.use_copying_features = true;
+  config.copying_min_agreements = 2;
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
+  const ParamLayout& layout = model.layout();
+  ASSERT_EQ(layout.num_params, 6);  // 4 sources, feature k, one pair
+  const double w_s[4] = {0.25, -0.5, 0.75, 1.25};
+  const double w_k = 0.375;
+  const double w_copy = 0.625;
+  model.SetWeights({w_s[0], w_s[1], w_s[2], w_s[3], w_k, w_copy});
+
+  const double sigma0 = w_s[0] + w_k;
+  const double sigma1 = w_s[1] + w_k;
+  const double offset = std::log(2.0);
+  // Candidates 0, 1, 2 = values 0, 1, 2. The copy weight fires on every
+  // candidate but the agreed value 2.
+  const std::vector<double> expected = {
+      offset + w_s[2] + w_copy,
+      offset + w_s[3] + w_copy,
+      (offset + offset) + sigma0 + sigma1,
+  };
+  EXPECT_EQ(ScoresOf(model, 0), expected);
+  // Object 1: binary domain {1}, no offset; the only candidate is the
+  // agreed one, so the copy weight fires nowhere.
+  EXPECT_EQ(ScoresOf(model, 1), (std::vector<double>{sigma0 + sigma1}));
 }
 
 TEST(CompilationTest, CopyingRequiresTwoSources) {

@@ -1,8 +1,8 @@
 // DeltaCompile: incremental compilation must be indistinguishable from
-// full recompilation. The oracle is BitwiseEqual — every term coefficient,
-// offset, CSR index, and the store fingerprint compared exactly — checked
-// for every method preset's model config, several chunkings, and 1 vs 4
-// threads (the delta path shards touched-row recompilation).
+// full recompilation. The oracle is BitwiseEqual — the parameter
+// structure, every derived scoring array, and the store fingerprint
+// compared exactly — checked for every method preset's model config and
+// several chunkings.
 
 #include <memory>
 #include <vector>
@@ -30,14 +30,13 @@ Dataset EmptyTwin(const Dataset& dataset) {
 /// Replays `dataset` into an instance in `num_chunks` delta steps.
 std::shared_ptr<const CompiledInstance> DeltaChain(const Dataset& dataset,
                                                    const ModelConfig& config,
-                                                   int32_t num_chunks,
-                                                   Executor* exec) {
+                                                   int32_t num_chunks) {
   Dataset empty = EmptyTwin(dataset);
   std::shared_ptr<const CompiledInstance> instance =
       CompileInstance(empty, config).ValueOrDie();
   for (const ObservationBatch& chunk :
        ChunkDatasetForReplay(dataset, num_chunks)) {
-    instance = DeltaCompile(*instance, chunk, exec).ValueOrDie();
+    instance = DeltaCompile(*instance, chunk).ValueOrDie();
   }
   return instance;
 }
@@ -54,36 +53,25 @@ TEST(DeltaCompileTest, MatchesFullRecompileForAllPresets) {
     for (const Dataset& dataset : datasets) {
       std::shared_ptr<const CompiledInstance> full =
           CompileInstance(dataset, config).ValueOrDie();
-      for (int32_t threads : {1, 4}) {
-        ExecOptions exec_options;
-        exec_options.threads = threads;
-        Executor exec(exec_options);
-        for (int32_t num_chunks : {1, 4}) {
-          auto delta = DeltaChain(dataset, config, num_chunks, &exec);
-          EXPECT_TRUE(BitwiseEqual(*delta, *full))
-              << preset.name << " dataset=" << dataset.name()
-              << " chunks=" << num_chunks << " threads=" << threads;
-        }
+      for (int32_t num_chunks : {1, 4}) {
+        auto delta = DeltaChain(dataset, config, num_chunks);
+        EXPECT_TRUE(BitwiseEqual(*delta, *full))
+            << preset.name << " dataset=" << dataset.name()
+            << " chunks=" << num_chunks;
       }
     }
   }
 }
 
-// Batches large enough that the four pool threads compile their shards
-// at the same time, so a thread sanitizer build sees any scratch state the
-// shards share (the small instances above finish each shard before the
-// next one starts).
-TEST(DeltaCompileTest, LargeBatchesOnFourThreadsMatchFullRecompile) {
+// Batches of thousands of claims, spread over thousands of objects.
+TEST(DeltaCompileTest, LargeBatchesMatchFullRecompile) {
   const std::vector<double> planted = {0.92, 0.85, 0.7,  0.6,
                                        0.55, 0.8,  0.75, 0.65};
   Dataset dataset = MakePlantedDataset(planted, 4000, 0.5, 23, 3);
   ModelConfig config;
   std::shared_ptr<const CompiledInstance> full =
       CompileInstance(dataset, config).ValueOrDie();
-  ExecOptions exec_options;
-  exec_options.threads = 4;
-  Executor exec(exec_options);
-  EXPECT_TRUE(BitwiseEqual(*DeltaChain(dataset, config, 2, &exec), *full));
+  EXPECT_TRUE(BitwiseEqual(*DeltaChain(dataset, config, 2), *full));
 }
 
 TEST(DeltaCompileTest, AnyChunkingYieldsTheSameInstance) {
@@ -93,14 +81,15 @@ TEST(DeltaCompileTest, AnyChunkingYieldsTheSameInstance) {
   std::shared_ptr<const CompiledInstance> full =
       CompileInstance(dataset, config).ValueOrDie();
   for (int32_t num_chunks : {2, 3, 9}) {
-    auto delta = DeltaChain(dataset, config, num_chunks, nullptr);
+    auto delta = DeltaChain(dataset, config, num_chunks);
     EXPECT_TRUE(BitwiseEqual(*delta, *full)) << "chunks=" << num_chunks;
   }
 }
 
-// A batch that first observes a low-id object splices its row into the
-// middle of the row list (rows are in ObjectId order), shifting every
-// later row index. This is the structurally hardest delta.
+// A batch that first observes a low-id object splices its claims into the
+// middle of the store (claims are in ObjectId order), shifting every
+// later claim and candidate index. This is the structurally hardest
+// delta.
 TEST(DeltaCompileTest, SplicesNewRowsBetweenExistingOnes) {
   DatasetBuilder builder("splice", 3, 5, 2);
   // Objects 1 and 3 observed initially; 0, 2, 4 appear later.
@@ -133,12 +122,12 @@ TEST(DeltaCompileTest, SplicesNewRowsBetweenExistingOnes) {
       CompileInstance(full_dataset, config).ValueOrDie();
 
   EXPECT_TRUE(BitwiseEqual(*instance, *full));
-  EXPECT_EQ(instance->num_rows(), 5);
+  for (ObjectId o = 0; o < 5; ++o) EXPECT_GT(instance->DomainSize(o), 0);
 }
 
 // Growing a binary domain past 2 candidates flips the multiclass offset
-// for *every* claim on the object, so the whole row must be re-derived —
-// the regression this test pins.
+// for *every* claim on the object, so the object's offsets must be
+// re-derived — the regression this test pins.
 TEST(DeltaCompileTest, DomainGrowthRecomputesMulticlassOffsets) {
   DatasetBuilder builder("grow", 4, 1, 3);
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 0));
@@ -175,10 +164,10 @@ TEST(DeltaCompileTest, DomainGrowthRecomputesMulticlassOffsets) {
   EXPECT_TRUE(any_nonzero);
 }
 
-// Truth never enters a row's term expressions, so a labels-only batch
-// must re-derive zero rows (the flattening pass re-resolves truth
-// targets) while still matching a full recompile bitwise.
-TEST(DeltaCompileTest, TruthOnlyBatchRecompilesNoRows) {
+// Truth never enters a candidate's score, so a labels-only batch must
+// leave every scoring array as it was while still matching a full
+// recompile bitwise. The parameter structure is shared, not copied.
+TEST(DeltaCompileTest, TruthOnlyBatchLeavesScoringUnchanged) {
   DatasetBuilder builder("labels", 3, 3, 2);
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 1));
   SLIMFAST_CHECK_OK(builder.AddObservation(1, 1, 0));
@@ -192,10 +181,12 @@ TEST(DeltaCompileTest, TruthOnlyBatchRecompilesNoRows) {
   ObservationBatch labels_only;
   labels_only.truths = {TruthLabel{0, 1}, TruthLabel{1, 0},
                         TruthLabel{2, 0}};  // object 2: never observed
-  std::vector<ObjectId> recompiled;
-  instance =
-      DeltaCompile(*instance, labels_only, nullptr, &recompiled).ValueOrDie();
-  EXPECT_TRUE(recompiled.empty());
+  std::shared_ptr<const CompiledInstance> labeled =
+      DeltaCompile(*instance, labels_only).ValueOrDie();
+  EXPECT_EQ(labeled->model, instance->model);
+  EXPECT_EQ(labeled->claim_cand, instance->claim_cand);
+  EXPECT_EQ(labeled->cand_offsets, instance->cand_offsets);
+  instance = labeled;
 
   DatasetBuilder oracle("labels", 3, 3, 2);
   SLIMFAST_CHECK_OK(oracle.AddObservation(0, 0, 1));

@@ -23,7 +23,7 @@ TEST(EmTest, FailsWithoutObservations) {
   DatasetBuilder builder("empty", 1, 1, 2);
   Dataset d = std::move(builder).Build().ValueOrDie();
   auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   EmLearner learner(EmOptions{});
   Rng rng(1);
   EXPECT_TRUE(learner.Fit(d, {}, &model, &rng, nullptr, instance.get())
@@ -34,7 +34,7 @@ TEST(EmTest, FailsWithoutObservations) {
 TEST(EmTest, RejectsNullInstance) {
   Dataset d = testutil::MakeFigure1Dataset();
   auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   const std::vector<double> before = model.weights();
   EmLearner learner(EmOptions{});
   Rng rng(1);
@@ -52,7 +52,7 @@ TEST(EmTest, UnsupervisedRecoversTruthOnDenseAccurateInstance) {
   ModelConfig config;
   config.use_feature_weights = false;
   auto instance = CompileInstance(d, config).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   EmLearner learner(EmOptions{});
   Rng rng(5);
   auto stats =
@@ -73,7 +73,7 @@ TEST(EmTest, UnsupervisedSourceAccuraciesAreReasonable) {
   ModelConfig config;
   config.use_feature_weights = false;
   auto instance = CompileInstance(d, config).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   EmLearner learner(EmOptions{});
   Rng rng(6);
   ASSERT_TRUE(
@@ -96,7 +96,7 @@ TEST(EmTest, SemiSupervisedClampsTrainingLabels) {
   auto split = testutil::MakePrefixSplit(d, 150);
 
   auto instance = CompileInstance(d, config).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   EmLearner learner(EmOptions{});
   Rng rng(8);
   ASSERT_TRUE(learner
@@ -119,7 +119,7 @@ TEST(EmTest, SoftEmAlsoConverges) {
   ModelConfig config;
   config.use_feature_weights = false;
   auto instance = CompileInstance(d, config).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   EmOptions options;
   options.soft = true;
   EmLearner learner(options);
@@ -141,7 +141,7 @@ TEST(EmTest, InitAccuracySeedsMajorityVote) {
   ModelConfig config;
   config.use_feature_weights = false;
   auto instance = CompileInstance(d, config).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   EmOptions options;
   options.max_iterations = 1;
   options.m_step.epochs = 0;  // E-step only: pure majority vote
@@ -183,7 +183,7 @@ TEST(EmTest, DensityImprovesEmQuality) {
     ModelConfig config;
     config.use_feature_weights = false;
     auto instance = CompileInstance(d, config).ValueOrDie();
-    SlimFastModel model(instance->model);
+    SlimFastModel model(instance);
     EmLearner learner(EmOptions{});
     Rng rng(3);
     SLIMFAST_CHECK_OK(
@@ -215,7 +215,7 @@ TEST(EmTest, ExpectedNllDecreasesOrConverges) {
 
   EmOptions few;
   few.max_iterations = 2;
-  SlimFastModel model_few(instance->model);
+  SlimFastModel model_few(instance);
   Rng rng1(1);
   auto stats_few = EmLearner(few)
                        .Fit(d, {}, &model_few, &rng1, nullptr, instance.get())
@@ -223,7 +223,7 @@ TEST(EmTest, ExpectedNllDecreasesOrConverges) {
 
   EmOptions many;
   many.max_iterations = 15;
-  SlimFastModel model_many(instance->model);
+  SlimFastModel model_many(instance);
   Rng rng2(1);
   auto stats_many =
       EmLearner(many)
@@ -257,22 +257,29 @@ double PerExampleBatchFit(const ErmOptions& options,
                           SlimFastModel* model) {
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
-  const auto& sigma_terms = model->compiled().sigma_terms;
-  std::set<ParamId> params;
-  for (const auto& terms : sigma_terms) {
-    for (const ParamTerm& t : terms) params.insert(t.param);
-  }
+  const CompiledModel& compiled = model->compiled();
+  const std::set<ParamId> params(compiled.sigma_param.begin(),
+                                 compiled.sigma_param.end());
+  // Visits (param, coeff) of every term of σ_s.
+  auto for_each_term = [&](size_t s, auto&& fn) {
+    for (int64_t t = compiled.sigma_begin[s]; t < compiled.sigma_begin[s + 1];
+         ++t) {
+      fn(compiled.sigma_param[static_cast<size_t>(t)],
+         compiled.sigma_coeff[static_cast<size_t>(t)]);
+    }
+  };
+  const size_t num_sources = static_cast<size_t>(compiled.num_sources);
   double total_weight = 0.0;
   for (const ObservationExample& ex : examples) total_weight += ex.weight;
   LearningRateSchedule schedule(options.learning_rate, options.decay);
   std::vector<double> accum(w.size(), 0.0);
   double loss = 0.0;
   for (int32_t epoch = 0; epoch < options.epochs; ++epoch) {
-    std::vector<double> sigma(sigma_terms.size(), 0.0);
-    for (size_t s = 0; s < sigma_terms.size(); ++s) {
-      for (const ParamTerm& t : sigma_terms[s]) {
-        sigma[s] += t.coeff * w[static_cast<size_t>(t.param)];
-      }
+    std::vector<double> sigma(num_sources, 0.0);
+    for (size_t s = 0; s < num_sources; ++s) {
+      for_each_term(s, [&](ParamId p, double coeff) {
+        sigma[s] += coeff * w[static_cast<size_t>(p)];
+      });
     }
     std::vector<double> grad(w.size(), 0.0);
     loss = 0.0;
@@ -280,9 +287,9 @@ double PerExampleBatchFit(const ErmOptions& options,
       const double z = sigma[static_cast<size_t>(ex.source)];
       loss += ex.weight * (std::log1p(std::exp(-z)) + (1.0 - ex.label) * z);
       const double g = ex.weight * (Sigmoid(z) - ex.label);
-      for (const ParamTerm& t : sigma_terms[static_cast<size_t>(ex.source)]) {
-        grad[static_cast<size_t>(t.param)] += g * t.coeff;
-      }
+      for_each_term(static_cast<size_t>(ex.source), [&](ParamId p, double coeff) {
+        grad[static_cast<size_t>(p)] += g * coeff;
+      });
     }
     const double eta = schedule.At(epoch);
     for (ParamId p : params) {
@@ -303,7 +310,7 @@ double PerExampleBatchFit(const ErmOptions& options,
 
 TEST(EmStatsTest, CollapsedFitMatchesPerExampleBatchFit) {
   Dataset d = MakeFeaturedDataset(12, 40, 0.5, 17);
-  auto compiled = Compile(d, ModelConfig{}).ValueOrDie();
+  auto compiled = CompileInstance(d, ModelConfig{}).ValueOrDie();
   // Mixed labels (0, 1, fractional) and weights, sources repeated in an
   // interleaved order, one source never observed.
   std::vector<ObservationExample> examples;
@@ -351,7 +358,7 @@ TEST(EmStatsTest, CollapsedFitMatchesPerExampleBatchFit) {
 
 TEST(EmStatsTest, FitSourceStatsRejectsMismatchedOrEmptyStats) {
   Dataset d = MakeFeaturedDataset(6, 10, 0.5, 3);
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   ErmLearner learner(EmOptions{}.m_step);
   Status mismatched = learner.FitSourceStats(SourceStats(5), &model).status();
   EXPECT_TRUE(mismatched.IsInvalidArgument());
@@ -376,7 +383,7 @@ TEST(EmStatsTest, HardAndSoftEmBitIdenticalAcrossThreadsAndSimd) {
       exec_options.threads = threads;
       Executor exec(exec_options);
       simd::SetWideEnabledForTest(wide);
-      SlimFastModel model(instance->model);
+      SlimFastModel model(instance);
       Rng rng(9);
       EmLearner learner(options);
       auto stats = learner.Fit(d, split.train_objects, &model, &rng, &exec,
@@ -396,12 +403,14 @@ TEST(EmStatsTest, HardAndSoftEmBitIdenticalAcrossThreadsAndSimd) {
 /// minimum-work constant, so the 4-thread fits really run on the pool
 /// (the instance above is small enough to run inline).
 TEST(EmStatsTest, HardAndSoftEmBitIdenticalWhenTheEStepDispatches) {
-  Dataset d = MakeFeaturedDataset(150, 10000, 0.05, 29);
+  Dataset d = MakeFeaturedDataset(150, 30000, 0.05, 29);
   Rng split_rng(6);
   TrainTestSplit split = MakeSplit(d, 0.01, &split_rng).ValueOrDie();
   auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
-  ASSERT_GE(static_cast<int64_t>(instance->term_param.size() +
-                                 instance->claim_sources.size()),
+  // EmLearner's work estimate: σ terms + claims + candidates.
+  ASSERT_GE(static_cast<int64_t>(instance->model->sigma_param.size()) +
+                instance->store.num_observations() +
+                static_cast<int64_t>(instance->store.domain_values().size()),
             kMinParallelWork);
   for (bool soft : {false, true}) {
     SCOPED_TRACE(soft ? "soft" : "hard");
@@ -409,7 +418,7 @@ TEST(EmStatsTest, HardAndSoftEmBitIdenticalWhenTheEStepDispatches) {
     options.soft = soft;
     auto fit = [&](int32_t threads) {
       Executor exec(ExecOptions{threads});
-      SlimFastModel model(instance->model);
+      SlimFastModel model(instance);
       Rng rng(9);
       auto stats = EmLearner(options).Fit(d, split.train_objects, &model,
                                           &rng, &exec, instance.get());
@@ -431,7 +440,7 @@ TEST(EmStopRuleTest, HardEmReachesItsFixedPointOnTheFuseEmShape) {
     Rng split_rng(seed);
     TrainTestSplit split = MakeSplit(d, 0.01, &split_rng).ValueOrDie();
     auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
-    SlimFastModel model(instance->model);
+    SlimFastModel model(instance);
     Rng rng(seed);
     const EmOptions options;
     EmStats stats = EmLearner(options)
@@ -452,7 +461,7 @@ TEST(EmStopRuleTest, WarmRefitFromTheFixedPointStopsAtOnce) {
   Rng split_rng(3);
   TrainTestSplit split = MakeSplit(d, 0.01, &split_rng).ValueOrDie();
   auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   Rng rng(3);
   EmLearner learner{EmOptions{}};
   ASSERT_TRUE(learner
@@ -480,7 +489,7 @@ TEST(EmStopRuleTest, InversionGuardRetryStillRuns) {
   ModelConfig config;
   config.use_feature_weights = false;
   auto instance = CompileInstance(d, config).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   EmOptions options;
   options.init_accuracy = 0.05;
   Rng rng(4);
@@ -512,7 +521,7 @@ TEST(EmStopRuleTest, MStepsShareOneEpochBudget) {
   Rng split_rng(23);
   TrainTestSplit split = MakeSplit(d, 0.0, &split_rng).ValueOrDie();
   auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   EmOptions options;
   options.m_step.tolerance = 0.0;
   Rng rng(23);

@@ -13,9 +13,8 @@ namespace {
 
 TEST(ErmExamplesTest, ObjectExamplesFilterUnusable) {
   Dataset d = testutil::MakeFigure1Dataset();
-  auto compiled = Compile(d, ModelConfig{}).ValueOrDie();
-  auto examples =
-      ErmLearner::ObjectExamples(d, compiled, {0, 1});
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  auto examples = ErmLearner::ObjectExamples(*instance, {0, 1});
   // Object 1's truth (1) is in its domain {1}; object 0's truth (0) is in
   // {0,1}: both usable.
   EXPECT_EQ(examples.size(), 2u);
@@ -28,8 +27,8 @@ TEST(ErmExamplesTest, SkipsTruthOutsideDomain) {
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 1));
   SLIMFAST_CHECK_OK(builder.SetTruth(0, 2));  // nobody claimed 2
   Dataset d = std::move(builder).Build().ValueOrDie();
-  auto compiled = Compile(d, ModelConfig{}).ValueOrDie();
-  EXPECT_TRUE(ErmLearner::ObjectExamples(d, compiled, {0}).empty());
+  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
+  EXPECT_TRUE(ErmLearner::ObjectExamples(*instance, {0}).empty());
 }
 
 TEST(ErmExamplesTest, ObservationExamplesLabelCorrectness) {
@@ -46,7 +45,7 @@ TEST(ErmExamplesTest, ObservationExamplesLabelCorrectness) {
 TEST(ErmTest, FailsWithoutExamples) {
   Dataset d = testutil::MakeFigure1Dataset();
   auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   ErmLearner learner(ErmOptions{});
   Rng rng(1);
   EXPECT_TRUE(learner.FitObjectLoss({}, &model, &rng, nullptr, instance.get())
@@ -60,10 +59,10 @@ TEST(ErmTest, FailsWithoutExamples) {
 TEST(ErmTest, RejectsNullInstance) {
   Dataset d = testutil::MakeFigure1Dataset();
   auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   const std::vector<double> before = model.weights();
   const std::vector<LabeledExample> examples =
-      ErmLearner::ObjectExamples(d, *instance->model, {0, 1});
+      ErmLearner::ObjectExamples(*instance, {0, 1});
   ASSERT_FALSE(examples.empty());
   for (ErmLoss loss : {ErmLoss::kObjectPosterior, ErmLoss::kAccuracyLogLoss}) {
     for (bool batch : {false, true}) {
@@ -93,7 +92,7 @@ TEST(ErmTest, LearnsToSeparateGoodFromBadSources) {
   ModelConfig config;
   config.use_feature_weights = false;
   auto instance = CompileInstance(d, config).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   ErmLearner learner(ErmOptions{});
   Rng rng(7);
   auto split = testutil::MakePrefixSplit(d, 150);
@@ -125,7 +124,7 @@ TEST(ErmTest, PredictionsBeatMajorityOnAdversarialInstance) {
   ModelConfig config;
   config.use_feature_weights = false;
   auto instance = CompileInstance(d, config).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   ErmLearner learner(ErmOptions{});
   Rng rng(3);
   auto split = testutil::MakePrefixSplit(d, 80);
@@ -148,7 +147,7 @@ TEST(ErmTest, AccuracyLossRecoverEmpiricalRates) {
   ModelConfig config;
   config.use_feature_weights = false;
   auto instance = CompileInstance(d, config).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   ErmOptions options;
   options.loss = ErmLoss::kAccuracyLogLoss;
   options.epochs = 100;
@@ -173,7 +172,7 @@ TEST(ErmTest, BatchAndSgdAgreeOnPredictions) {
   auto split = testutil::MakePrefixSplit(d, 100);
 
   auto instance = CompileInstance(d, config).ValueOrDie();
-  SlimFastModel sgd_model(instance->model);
+  SlimFastModel sgd_model(instance);
   ErmOptions sgd_options;
   sgd_options.epochs = 80;
   Rng rng1(1);
@@ -182,7 +181,7 @@ TEST(ErmTest, BatchAndSgdAgreeOnPredictions) {
                        instance.get())
                   .ok());
 
-  SlimFastModel batch_model(instance->model);
+  SlimFastModel batch_model(instance);
   ErmOptions batch_options;
   batch_options.batch = true;
   batch_options.epochs = 600;
@@ -220,7 +219,7 @@ TEST(ErmTest, L1ZeroesFeatureWeightsOnly) {
   Dataset d = std::move(builder).Build().ValueOrDie();
 
   auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   ErmOptions options;
   options.batch = true;
   options.epochs = 300;
@@ -254,7 +253,7 @@ TEST(ErmTest, WeightedExamplesShiftTheFit) {
   ModelConfig config;
   config.use_feature_weights = false;
   auto instance = CompileInstance(d, config).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
 
   std::vector<LabeledExample> examples = {
       LabeledExample{0, 0, 0.9},  // value 0, heavy
@@ -278,7 +277,7 @@ TEST(ErmTest, ConvergenceStopsEarly) {
   ModelConfig config;
   config.use_feature_weights = false;
   auto instance = CompileInstance(d, config).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   ErmOptions options;
   options.epochs = 5000;
   options.tolerance = 1e-3;
@@ -303,7 +302,7 @@ TEST_P(ErmSampleSizeSweep, MoreLabelsNeverMuchWorse) {
   ModelConfig config;
   config.use_feature_weights = false;
   auto instance = CompileInstance(d, config).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   ErmLearner learner(ErmOptions{});
   Rng rng(GetParam());
   auto split = testutil::MakePrefixSplit(d, GetParam());

@@ -13,7 +13,7 @@ namespace {
 
 SlimFastModel MakeWeightedFigure1Model() {
   Dataset d = testutil::MakeFigure1Dataset();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   // Sources 0 and 2 trusted, source 1 not.
   std::vector<double> w = {Logit(0.9), Logit(0.3), Logit(0.8)};
   model.SetWeights(w);
@@ -67,7 +67,7 @@ TEST(ExplainObjectTest, ValidatesInput) {
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 1));
   Dataset sparse = std::move(builder).Build().ValueOrDie();
   SlimFastModel sparse_model(
-      Compile(sparse, ModelConfig{}).ValueOrDie());
+      CompileInstance(sparse, ModelConfig{}).ValueOrDie());
   EXPECT_TRUE(ExplainObject(sparse_model, sparse, 1)
                   .status()
                   .IsFailedPrecondition());
@@ -98,7 +98,7 @@ Dataset MakeFeaturedDataset() {
 
 TEST(ExplainSourceTest, DecomposesSigmaIntoIndicatorAndFeatures) {
   Dataset d = MakeFeaturedDataset();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   // Params: [w_s0, w_s1, w_hi, w_lo].
   model.SetWeights({0.4, -0.1, 0.8, -0.6});
   auto explanation = ExplainSource(model, d, 0);
@@ -122,7 +122,7 @@ TEST(ExplainSourceTest, FeaturesSortedByImpact) {
   SLIMFAST_CHECK_OK(fs->SetFeature(0, c));
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 1));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   model.SetWeights({0.0, 0.1, -0.9, 0.5});  // [w_s0, a, b, c]
   auto explanation = ExplainSource(model, d, 0);
   ASSERT_EQ(explanation.feature_names.size(), 3u);
@@ -133,7 +133,7 @@ TEST(ExplainSourceTest, FeaturesSortedByImpact) {
 
 TEST(ExplainSourceTest, ToStringRenders) {
   Dataset d = MakeFeaturedDataset();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   model.SetWeights({0.4, -0.1, 0.8, -0.6});
   std::string s = ExplainSource(model, d, 1).ToString();
   EXPECT_NE(s.find("Source 1"), std::string::npos);
@@ -148,7 +148,7 @@ TEST(ExplainIntegrationTest, TrainedModelExplainsSensibly) {
   ModelConfig config;
   config.use_feature_weights = false;
   auto instance = CompileInstance(d, config).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   ErmLearner learner(ErmOptions{});
   Rng rng(5);
   auto split = testutil::MakePrefixSplit(d, 200);

@@ -43,7 +43,7 @@ TEST(SourceInitTest, RequiresFeatureWeights) {
   Dataset d = testutil::MakeFigure1Dataset();
   ModelConfig config;
   config.use_feature_weights = false;
-  SlimFastModel model(Compile(d, config).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, config).ValueOrDie());
   EXPECT_TRUE(SourceQualityPredictor::FromModel(model)
                   .status()
                   .IsFailedPrecondition());
@@ -52,7 +52,7 @@ TEST(SourceInitTest, RequiresFeatureWeights) {
 TEST(SourceInitTest, PredictsUnseenSourceAccuracyFromFeatures) {
   Dataset d = MakeFeatureAccuracyDataset(31, 20, 300);
   auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   ErmLearner learner(ErmOptions{});
   Rng rng(1);
   auto split = testutil::MakePrefixSplit(d, 200);
@@ -76,7 +76,7 @@ TEST(SourceInitTest, PredictsUnseenSourceAccuracyFromFeatures) {
 TEST(SourceInitTest, PredictAccuracyOfUsesDatasetFeatures) {
   Dataset d = MakeFeatureAccuracyDataset(37, 10, 200);
   auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   ErmLearner learner(ErmOptions{});
   Rng rng(2);
   auto split = testutil::MakePrefixSplit(d, 150);
@@ -92,7 +92,7 @@ TEST(SourceInitTest, PredictAccuracyOfUsesDatasetFeatures) {
 
 TEST(SourceInitTest, IgnoresOutOfRangeFeatures) {
   Dataset d = MakeFeatureAccuracyDataset(41, 10, 100);
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   auto predictor = SourceQualityPredictor::FromModel(model).ValueOrDie();
   // Unknown feature ids contribute nothing rather than crashing.
   double base = predictor.PredictAccuracy({});
@@ -130,7 +130,7 @@ TEST(CopyingTest, TopRelationsIdentifyCopiers) {
   config.use_copying_features = true;
   config.copying_min_agreements = 30;
   auto instance = CompileInstance(d, config).ValueOrDie();
-  SlimFastModel model(instance->model);
+  SlimFastModel model(instance);
   ASSERT_GE(model.layout().num_copy_params, 1);
 
   ErmOptions erm;
@@ -161,7 +161,7 @@ TEST(CopyingTest, CopyModelAtLeastMatchesPlainErm) {
   ModelConfig plain;
   plain.use_feature_weights = false;
   auto plain_instance = CompileInstance(d, plain).ValueOrDie();
-  SlimFastModel plain_model(plain_instance->model);
+  SlimFastModel plain_model(plain_instance);
   ErmLearner learner{ErmOptions{}};
   ASSERT_TRUE(learner
                   .Fit(d, split.train_objects, &plain_model, &rng1, nullptr,
@@ -172,7 +172,7 @@ TEST(CopyingTest, CopyModelAtLeastMatchesPlainErm) {
   copying.use_copying_features = true;
   copying.copying_min_agreements = 30;
   auto copy_instance = CompileInstance(d, copying).ValueOrDie();
-  SlimFastModel copy_model(copy_instance->model);
+  SlimFastModel copy_model(copy_instance);
   ASSERT_TRUE(learner
                   .Fit(d, split.train_objects, &copy_model, &rng2, nullptr,
                        copy_instance.get())
@@ -196,7 +196,7 @@ TEST(CopyingTest, RelationsToStringRendersRows) {
 
 TEST(CopyingTest, NoCopyParamsGivesEmptyRelations) {
   Dataset d = testutil::MakeFigure1Dataset();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   EXPECT_TRUE(TopCopyingRelations(model, 10).empty());
 }
 

@@ -11,7 +11,7 @@ namespace {
 
 SlimFastModel MakeFigure1Model() {
   Dataset d = testutil::MakeFigure1Dataset();
-  return SlimFastModel(Compile(d, ModelConfig{}).ValueOrDie());
+  return SlimFastModel(CompileInstance(d, ModelConfig{}).ValueOrDie());
 }
 
 TEST(ModelTest, ZeroWeightsGiveUniformPosteriorAndHalfAccuracy) {
@@ -63,7 +63,7 @@ TEST(ModelTest, FeatureWeightsEnterSigma) {
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 1));
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 1, 0));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   std::vector<double> w = model.weights();
   ASSERT_EQ(w.size(), 3u);  // 2 sources + 1 feature
   w[0] = 0.3;  // source 0
@@ -78,15 +78,16 @@ TEST(ModelTest, MapIndexPicksArgmax) {
   SlimFastModel model = MakeFigure1Model();
   std::vector<double> w = {2.0, 0.1, 2.0};  // sources 0, 2 trusted
   model.SetWeights(w);
-  const CompiledObject* row = model.compiled().RowOf(0);
-  EXPECT_EQ(row->domain[static_cast<size_t>(model.MapIndex(*row))], 0);
+  // Object 0's candidates are {0, 1}; sources 0 and 2 claim 0.
+  EXPECT_EQ(model.MapIndex(0, model.TrustScores()), 0);
+  EXPECT_EQ(model.PredictAll()[0], 0);
 }
 
 TEST(ModelTest, PredictAllMarksUnobserved) {
   DatasetBuilder builder("gap", 1, 3, 2);
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 1));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   auto predictions = model.PredictAll();
   ASSERT_EQ(predictions.size(), 3u);
   EXPECT_EQ(predictions[0], 1);
@@ -98,7 +99,7 @@ TEST(ModelTest, PosteriorOfUnobservedObjectReturnsFalse) {
   DatasetBuilder builder("gap", 1, 2, 2);
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 1));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   std::vector<double> probs;
   EXPECT_FALSE(model.PosteriorOf(1, &probs));
 }
@@ -107,11 +108,11 @@ TEST(ModelTest, ObjectNllConsistentWithPosterior) {
   SlimFastModel model = MakeFigure1Model();
   std::vector<double> w = {0.7, -0.2, 0.4};
   model.SetWeights(w);
-  const CompiledObject* row = model.compiled().RowOf(0);
+  const std::vector<double> sigma = model.TrustScores();
   std::vector<double> probs;
-  model.Posterior(*row, &probs);
+  ASSERT_TRUE(model.Posterior(0, sigma, &probs));
   for (int32_t di = 0; di < 2; ++di) {
-    EXPECT_NEAR(model.ObjectNll(*row, di),
+    EXPECT_NEAR(model.ObjectNll(0, sigma, di),
                 -std::log(probs[static_cast<size_t>(di)]), 1e-10);
   }
 }
@@ -131,7 +132,7 @@ TEST(ModelTest, PosteriorSumsToOneOnLargerDomain) {
   Dataset d = testutil::MakePlantedDataset(
       std::vector<double>(8, 0.6), /*num_objects=*/20, /*density=*/1.0,
       /*seed=*/5, /*num_values=*/5);
-  SlimFastModel model(Compile(d, ModelConfig{}).ValueOrDie());
+  SlimFastModel model(CompileInstance(d, ModelConfig{}).ValueOrDie());
   std::vector<double> w(model.weights().size(), 0.37);
   model.SetWeights(w);
   std::vector<double> probs;

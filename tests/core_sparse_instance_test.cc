@@ -1,7 +1,5 @@
-// CompiledInstance and its cache: the flat CSR structures must mirror the
-// dense CompiledModel element-for-element (that equality is what makes the
-// sparse learning paths bit-identical), and the cache must key on dataset
-// content + ModelConfig.
+// CompiledInstance and its cache: compilation is pinned to the last bit,
+// and the cache must key on dataset content + ModelConfig.
 
 #include "core/compiled_instance.h"
 
@@ -21,85 +19,17 @@ namespace {
 using testutil::MakeFigure1Dataset;
 using testutil::MakePlantedDataset;
 
-TEST(CompiledInstanceTest, FlattensCompiledModelExactly) {
-  const std::vector<double> planted = {0.9, 0.7, 0.6, 0.8};
-  Dataset dataset = MakePlantedDataset(planted, 50, 0.5, 17, 3);
-  ModelConfig config;
-  auto instance = CompileInstance(dataset, config).ValueOrDie();
-  const CompiledModel& model = *instance->model;
-
-  ASSERT_EQ(instance->num_rows(),
-            static_cast<int32_t>(model.objects.size()));
-  for (size_t r = 0; r < model.objects.size(); ++r) {
-    const CompiledObject& row = model.objects[r];
-    int32_t ri = static_cast<int32_t>(r);
-    ASSERT_EQ(instance->DomainSize(ri),
-              static_cast<int32_t>(row.domain.size()));
-    int64_t cand0 = instance->row_begin[r];
-    for (size_t di = 0; di < row.domain.size(); ++di) {
-      int64_t cand = cand0 + static_cast<int64_t>(di);
-      EXPECT_EQ(instance->cand_values[static_cast<size_t>(cand)],
-                row.domain[di]);
-      EXPECT_EQ(instance->cand_offsets[static_cast<size_t>(cand)],
-                row.offsets[di]);
-      int64_t tb = instance->term_begin[static_cast<size_t>(cand)];
-      int64_t te = instance->term_begin[static_cast<size_t>(cand) + 1];
-      ASSERT_EQ(te - tb, static_cast<int64_t>(row.terms[di].size()));
-      for (int64_t t = tb; t < te; ++t) {
-        EXPECT_EQ(instance->terms[static_cast<size_t>(t)],
-                  row.terms[di][static_cast<size_t>(t - tb)]);
-      }
-    }
-  }
-
-  // Sigma CSR mirrors sigma_terms.
-  for (size_t s = 0; s < model.sigma_terms.size(); ++s) {
-    int64_t sb = instance->sigma_begin[s];
-    int64_t se = instance->sigma_begin[s + 1];
-    ASSERT_EQ(se - sb, static_cast<int64_t>(model.sigma_terms[s].size()));
-    for (int64_t t = sb; t < se; ++t) {
-      EXPECT_EQ(instance->sigma_terms[static_cast<size_t>(t)],
-                model.sigma_terms[s][static_cast<size_t>(t - sb)]);
-    }
-  }
-
-  // Claims mirror ClaimsOnObject with precomputed domain indexes, and
-  // truth targets match DomainIndex of the dataset truth.
-  for (size_t r = 0; r < model.objects.size(); ++r) {
-    const CompiledObject& row = model.objects[r];
-    const auto& claims = dataset.ClaimsOnObject(row.object);
-    int64_t cb = instance->claim_begin[r];
-    int64_t ce = instance->claim_begin[r + 1];
-    ASSERT_EQ(ce - cb, static_cast<int64_t>(claims.size()));
-    for (int64_t i = cb; i < ce; ++i) {
-      size_t k = static_cast<size_t>(i - cb);
-      EXPECT_EQ(instance->claim_sources[static_cast<size_t>(i)],
-                claims[k].source);
-      EXPECT_EQ(instance->claim_cand[static_cast<size_t>(i)],
-                row.DomainIndex(claims[k].value));
-    }
-    int32_t expected_truth = dataset.HasTruth(row.object)
-                                 ? row.DomainIndex(dataset.Truth(row.object))
-                                 : -1;
-    EXPECT_EQ(instance->truth_cand[r], expected_truth);
-  }
-}
-
 /// Order-sensitive hash of everything CompileInstance produces except the
-/// store (whose own fingerprint covers it): the parameter layout, every
-/// nested-row term and offset, and every flat CSR array. Doubles are
-/// hashed by their bits, so the golden values below pin compilation to
-/// the last bit.
+/// store (whose own fingerprint covers it): the parameter layout, the
+/// trust-score CSR, the copy pairs and every derived scoring array.
+/// Doubles are hashed by their bits, so the golden values below pin
+/// compilation to the last bit.
 class CompileDigest {
  public:
   void Add(uint64_t v) { h_ = HashCombine(h_, v); }
   void Add(int64_t v) { Add(static_cast<uint64_t>(v)); }
   void Add(int32_t v) { Add(static_cast<uint64_t>(static_cast<uint32_t>(v))); }
   void Add(double v) { Add(std::bit_cast<uint64_t>(v)); }
-  void Add(const ParamTerm& t) {
-    Add(t.param);
-    Add(t.coeff);
-  }
   template <typename T>
   void Add(const std::vector<T>& values) {
     Add(static_cast<uint64_t>(values.size()));
@@ -121,38 +51,24 @@ uint64_t DigestOf(const CompiledInstance& inst) {
                     model.num_features}) {
     d.Add(v);
   }
-  d.Add(model.sigma_terms);
+  d.Add(model.sigma_begin);
+  d.Add(model.sigma_param);
+  d.Add(model.sigma_coeff);
   for (const auto& [i, j] : model.copy_pairs) {
     d.Add(i);
     d.Add(j);
   }
-  d.Add(model.object_row);
-  d.Add(static_cast<uint64_t>(model.objects.size()));
-  for (const CompiledObject& row : model.objects) {
-    d.Add(row.object);
-    d.Add(row.domain);
-    d.Add(row.offsets);
-    d.Add(row.terms);
-  }
-  d.Add(inst.row_begin);
-  d.Add(inst.cand_values);
-  d.Add(inst.cand_offsets);
-  d.Add(inst.term_begin);
-  d.Add(inst.terms);
-  d.Add(inst.term_coeff);
-  d.Add(inst.term_param);
-  d.Add(inst.sigma_begin);
-  d.Add(inst.sigma_terms);
-  d.Add(inst.claim_begin);
-  d.Add(inst.claim_sources);
   d.Add(inst.claim_cand);
-  d.Add(inst.truth_cand);
+  d.Add(inst.cand_offsets);
+  d.Add(inst.copy_begin);
+  d.Add(inst.copy_param);
+  d.Add(inst.copy_cand);
   return d.value();
 }
 
-// Golden digests of CompileInstance output, first captured with the
-// std::map term accumulator. A compilation change that keeps every bit
-// keeps these values; a deliberate numeric change re-pins them.
+// Golden digests of CompileInstance output, captured when scoring moved
+// to trust-score sums over the claims. A compilation change that keeps
+// every bit keeps these values; a deliberate numeric change re-pins them.
 TEST(CompiledInstanceTest, GoldenCompileDigest) {
   const std::vector<double> planted = {0.9, 0.75, 0.6, 0.8, 0.55, 0.7};
   Dataset multiclass = MakePlantedDataset(planted, 300, 0.6, 29, 5);
@@ -160,12 +76,12 @@ TEST(CompiledInstanceTest, GoldenCompileDigest) {
   ModelConfig copying;
   copying.use_copying_features = true;
   EXPECT_EQ(DigestOf(*CompileInstance(multiclass, defaults).ValueOrDie()),
-            0x965ad6d44bfb1951ULL);
+            0xfdf05b044202a81aULL);
   EXPECT_EQ(DigestOf(*CompileInstance(multiclass, copying).ValueOrDie()),
-            0x3d02a340d41f6cb1ULL);
+            0x01e2edf2dab0cf65ULL);
 
-  // Shared feature weights and copy clusters, so sigma expressions merge
-  // terms across sources and copy parameters fire alongside them.
+  // Shared feature weights and copy clusters, so sigma expressions share
+  // feature parameters across sources and copy terms fire alongside them.
   SyntheticConfig config;
   config.num_sources = 40;
   config.num_objects = 400;
@@ -181,39 +97,8 @@ TEST(CompiledInstanceTest, GoldenCompileDigest) {
   auto with_copying = CompileInstance(synthetic, copying).ValueOrDie();
   ASSERT_GT(with_copying->model->layout.num_copy_params, 0);
   EXPECT_EQ(DigestOf(*CompileInstance(synthetic, defaults).ValueOrDie()),
-            0x73a137cfed8c440fULL);
-  EXPECT_EQ(DigestOf(*with_copying), 0xbcb15cf2973a5ffcULL);
-}
-
-/// The flat CSR rows the learners walk and the nested rows that
-/// PredictAll, snapshots and explain read must score every candidate to
-/// the same bits; this is the one check that ties the two forms together.
-TEST(CompiledInstanceTest, SparsePosteriorMatchesDenseBitwise) {
-  const std::vector<double> planted = {0.85, 0.7, 0.65};
-  Dataset dataset = MakePlantedDataset(planted, 30, 0.6, 5, 3);
-  ModelConfig config;
-  auto instance = CompileInstance(dataset, config).ValueOrDie();
-  SlimFastModel model(instance->model);
-  // Non-trivial weights so the softmax has something to chew on.
-  std::vector<double> w = model.weights();
-  for (size_t i = 0; i < w.size(); ++i) {
-    w[i] = 0.01 * static_cast<double>(i % 7) - 0.02;
-  }
-  model.SetWeights(w);
-
-  std::vector<double> dense_probs;
-  std::vector<double> sparse_probs;
-  for (int32_t r = 0; r < instance->num_rows(); ++r) {
-    const CompiledObject& row =
-        model.compiled().objects[static_cast<size_t>(r)];
-    model.Posterior(row, &dense_probs);
-    SparsePosterior(*instance, r, model.weights(), &sparse_probs);
-    ASSERT_EQ(dense_probs.size(), sparse_probs.size());
-    for (size_t di = 0; di < dense_probs.size(); ++di) {
-      EXPECT_EQ(dense_probs[di], sparse_probs[di])
-          << "row " << r << " candidate " << di;
-    }
-  }
+            0x7f0cf4c46403e094ULL);
+  EXPECT_EQ(DigestOf(*with_copying), 0x8249df36a0b0b2baULL);
 }
 
 TEST(CompiledInstanceTest, FingerprintTracksDatasetContent) {

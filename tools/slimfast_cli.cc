@@ -576,8 +576,8 @@ class FullRecompileOracle {
 /// The dataset is cut into K arrival-order chunks
 /// (ChunkDatasetForReplay); truth labels outside the train split are
 /// withheld, mirroring the batch evaluation methodology. Each chunk is
-/// ingested into a long-lived FusionSession (store splice + delta
-/// compilation of the touched rows), a full recompilation of the
+/// ingested into a long-lived FusionSession (store splice + the delta
+/// compilation's derive pass), a full recompilation of the
 /// data-so-far is timed alongside for comparison (and cross-checked
 /// bitwise-equal — the delta-maintenance contract), the session relearns
 /// (warm-started from the previous weights after the first chunk), and a
@@ -769,7 +769,7 @@ int RunReplay(const CliOptions& options) {
 ///                      same bitwise cross-check
 ///   eval_grid          parallel method×fraction sweep (src/eval)
 ///   ingest_delta       incremental ingest in 4 chunks: store splice +
-///                      DeltaCompile of the touched rows, vs recompiling
+///                      DeltaCompile's derive pass, vs recompiling
 ///                      the data-so-far from scratch after every chunk
 ///   relearn_warm       warm-started refinement from the previous weight
 ///                      vector, vs the cold-start learning schedule
@@ -1050,7 +1050,7 @@ int RunBench(const CliOptions& options) {
     const ObservationBatch& chunk = chunks[static_cast<size_t>(c)];
     ingest_delta_seconds += bench::TimeSeconds([&] {
       delta_instance =
-          DeltaCompile(*delta_instance, chunk, &parallel).ValueOrDie();
+          DeltaCompile(*delta_instance, chunk).ValueOrDie();
     });
     double full_seconds = 0.0;
     if (!oracle.AbsorbAndCheck(chunk, *delta_instance, c, "bench",
@@ -1765,9 +1765,10 @@ int main(int argc, char** argv) {
       const SlimFastModel& model = fit.ValueOrDie().model;
       // Rank observed objects by posterior confidence, ascending.
       std::vector<std::pair<double, ObjectId>> ranked;
+      const std::vector<double> sigma = model.TrustScores();
       std::vector<double> probs;
       for (ObjectId o = 0; o < dataset.num_objects(); ++o) {
-        if (!model.PosteriorOf(o, &probs)) continue;
+        if (!model.Posterior(o, sigma, &probs)) continue;
         double top = 0.0;
         for (double p : probs) top = std::max(top, p);
         ranked.emplace_back(top, o);

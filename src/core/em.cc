@@ -172,13 +172,11 @@ double EmLearner::TrainAccuracy(const Dataset& dataset,
   int64_t correct = 0;
   for (ObjectId o : train_objects) {
     if (!dataset.HasTruth(o)) continue;
-    const int32_t map_index = model.MapIndex(o, sigma);
-    if (map_index < 0) continue;
+    // Only rows whose truth is a candidate can be predicted correctly.
+    const int32_t target = store.DomainIndexOf(o, dataset.Truth(o));
+    if (target < 0) continue;
     ++evaluated;
-    if (store.domain_values()[static_cast<size_t>(
-            store.DomainRange(o).begin + map_index)] == dataset.Truth(o)) {
-      ++correct;
-    }
+    if (model.MapIndex(o, sigma) == target) ++correct;
   }
   if (evaluated == 0) return 1.0;
   return static_cast<double>(correct) / static_cast<double>(evaluated);
@@ -197,10 +195,13 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
 
   std::vector<LabeledExample> labeled =
       ErmLearner::ObjectExamples(instance, train_objects);
-  // Rows clamped to ground truth (never re-imputed by the E-step).
+  // Rows clamped to ground truth (never re-imputed by the E-step): every
+  // train object whose truth is known, including one whose truth no
+  // source claims. clamped_stats below holds all of their claims, so an
+  // unclamped labeled row would count its claims twice.
   std::vector<uint8_t> clamped(static_cast<size_t>(store.num_objects()), 0);
-  for (const LabeledExample& ex : labeled) {
-    clamped[static_cast<size_t>(ex.object)] = 1;
+  for (ObjectId o : train_objects) {
+    if (dataset.HasTruth(o)) clamped[static_cast<size_t>(o)] = 1;
   }
 
   // A warm-started relearn refines the model's current weights (the

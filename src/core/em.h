@@ -101,7 +101,8 @@ class EmLearner {
                           Executor* exec,
                           const CompiledInstance& instance) const;
 
-  /// MAP accuracy of `model` on the clamped training objects.
+  /// MAP accuracy of `model` on the training objects whose truth is one
+  /// of their candidates.
   static double TrainAccuracy(const Dataset& dataset,
                               const std::vector<ObjectId>& train_objects,
                               const SlimFastModel& model);

@@ -113,6 +113,45 @@ TEST(EmTest, SemiSupervisedClampsTrainingLabels) {
   EXPECT_GT(train_accuracy, 0.95);
 }
 
+// Every object is labeled, so the E-step has nothing to impute and hard
+// and soft EM hand the M-step the same per-source sums. Object 3's truth
+// (value 2) is claimed by no source: its row must stay clamped too, or
+// its claims would be counted once as labeled and again as imputed.
+TEST(EmTest, AllLabeledInstanceLeavesNothingToImpute) {
+  for (ValueId truth3 : {ValueId{2}, ValueId{1}}) {
+    SCOPED_TRACE(truth3);
+    DatasetBuilder builder("labeled", 3, 4, 3);
+    const Observation claims[] = {{0, 0, 0}, {0, 1, 0}, {0, 2, 1},
+                                  {1, 0, 1}, {1, 1, 1}, {1, 2, 1},
+                                  {2, 0, 0}, {2, 1, 1}, {3, 0, 0},
+                                  {3, 2, 1}};
+    for (const Observation& c : claims) {
+      SLIMFAST_CHECK_OK(builder.AddObservation(c.object, c.source, c.value));
+    }
+    const ValueId truths[] = {0, 1, 1, truth3};
+    for (ObjectId o = 0; o < 4; ++o) {
+      SLIMFAST_CHECK_OK(builder.SetTruth(o, truths[o]));
+    }
+    Dataset d = std::move(builder).Build().ValueOrDie();
+    ModelConfig config;
+    config.use_feature_weights = false;
+    auto instance = CompileInstance(d, config).ValueOrDie();
+    auto fit = [&](bool soft) {
+      EmOptions options;
+      options.soft = soft;
+      options.max_iterations = 1;
+      SlimFastModel model(instance);
+      Rng rng(4);
+      SLIMFAST_CHECK_OK(EmLearner(options)
+                            .Fit(d, {0, 1, 2, 3}, &model, &rng, nullptr,
+                                 instance.get())
+                            .status());
+      return model.weights();
+    };
+    EXPECT_EQ(fit(false), fit(true));
+  }
+}
+
 TEST(EmTest, SoftEmAlsoConverges) {
   std::vector<double> accuracies(12, 0.75);
   Dataset d = testutil::MakePlantedDataset(accuracies, 200, 1.0, 109);

@@ -103,8 +103,8 @@ Result<FitStats> FitObjectLossSgd(const ErmOptions& options,
       loss_sum += -ex.weight * std::log(p_target);
 
       // d(-log p_target)/dσ_s = p_d - [d == target] for the candidate d
-      // that source s claims; copy weight p fires on every candidate but
-      // the agreed one.
+      // that source s claims; a copy weight's gradient sums that bracket
+      // over every candidate but the agreed one.
       grad.Clear();
       for (int64_t i = claims.begin; i < claims.end; ++i) {
         const int32_t d = claim_cand[i];

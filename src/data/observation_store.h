@@ -60,8 +60,8 @@ std::vector<ObservationBatch> ChunkDatasetForReplay(const Dataset& dataset,
 /// dataset's insertion order within each object — exactly the order
 /// Dataset::ClaimsOnObject walks, so iterating an object's range of the
 /// columnar arrays visits the same claims in the same order as the
-/// Dataset's per-object vectors (this is what lets the compiled instance's
-/// flat claim lists mirror the nested compiled rows exactly).
+/// Dataset's per-object vectors (so a compiled instance scores an
+/// object's candidates from its claims in dataset order).
 ///
 /// Three contiguous id arrays hold the observations (objects()[i],
 /// sources()[i], values()[i] describe observation i); per-object and
@@ -124,8 +124,7 @@ class ObservationStore {
   /// existing store is unchanged and no partial batch is applied.
   ///
   /// When `touched` is non-null it receives the ascending, deduplicated
-  /// list of objects whose claims, domain, or truth changed — exactly the
-  /// rows DeltaCompile must recompile.
+  /// list of objects whose claims, domain, or truth changed.
   Result<ObservationStore> AppendBatch(
       const ObservationBatch& batch,
       std::vector<ObjectId>* touched = nullptr) const;

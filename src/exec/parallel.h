@@ -54,9 +54,10 @@ inline constexpr int32_t kFixedShardCount = 32;
 /// 2^18 (262k) is where the pool's worst case, the slow state, comes
 /// within about 10% of inline while the fast state gains about 1.7x.
 /// Smaller work risks a larger loss (20% at 154k, 41% at 76k) for a
-/// smaller gain. A fuse_em E-step (~38k) runs inline. The pooled side is
-/// checked for bits (tests/exec_test.cc, tests/core_em_test.cc) but not
-/// yet timed by a benchmark workload.
+/// smaller gain. A fuse_em E-step (~38k then, ~10k in the current
+/// units) runs inline. The pooled side is checked for bits
+/// (tests/exec_test.cc, tests/core_em_test.cc) but not yet timed by a
+/// benchmark workload.
 inline constexpr int64_t kMinParallelWork = int64_t{1} << 18;
 
 /// The work estimate of a dispatch that always reaches the pool: coarse

@@ -8,24 +8,18 @@
 namespace slimfast {
 
 /// Sparse gradient accumulator: a dense scratch vector plus the list of
-/// parameters touched since the last Clear, so per-example SGD updates and
-/// per-shard batch accumulators pay O(nnz) instead of O(num_params). The
-/// row-grouped batch objectives (core/erm.cc) scatter one coefficient per
-/// candidate per epoch through Add after computing posteriors with the
-/// batched SIMD pipelines (docs/ARCHITECTURE.md, "SIMD kernels &
-/// lane-stable reductions"); the scatter itself stays scalar — it is a
+/// parameters touched since the last Clear, so per-example SGD updates pay
+/// O(nnz) instead of O(num_params). The scatter stays scalar — it is a
 /// data-dependent indexed write — and determinism comes from the
 /// discipline below, not from vector width.
 ///
-/// The accumulation discipline matches what the learners need for
-/// bit-identical results under DeterministicReduce: terms are added in the
-/// caller's iteration order, and draining in touched-order replays the
-/// exact first-touch sequence of a serial pass. A parameter whose slot
-/// cancels back to exactly 0.0 mid-accumulation is recorded again on the
-/// next add, so touched() may contain duplicates — every drain loop MUST
-/// call ZeroSlot as it reads each slot (as the SGD apply loop and the
-/// batch-ERM shard fold do), so a duplicate contributes the zeroed slot
-/// instead of double-counting the final value.
+/// Terms are added in the caller's iteration order, and draining in
+/// touched-order replays the exact first-touch sequence. A parameter
+/// whose slot cancels back to exactly 0.0 mid-accumulation is recorded
+/// again on the next add, so touched() may contain duplicates — every
+/// drain loop MUST call ZeroSlot as it reads each slot (as the SGD apply
+/// loop does), so a duplicate contributes the zeroed slot instead of
+/// double-counting the final value.
 template <typename ParamIndex>
 class SparseGradAccumulator {
  public:

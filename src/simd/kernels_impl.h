@@ -150,8 +150,7 @@ struct Kernels {
 
   // out[r] = (init ? init[r] : 0) + LaneSum(values over range r), where
   // range r is [begins[r] - base, begins[r+1] - base). This is the
-  // per-candidate score fold (init = candidate offsets) and the per-row
-  // entropy fold (init = nullptr).
+  // per-source trust-score fold and the per-row entropy fold.
   static void FoldRanges(const int64_t* begins, int64_t nranges,
                          int64_t base, const double* values,
                          const double* init, double* out) {

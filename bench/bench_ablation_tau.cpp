@@ -6,6 +6,7 @@
 #include "bench_common.h"
 #include "core/compilation.h"
 #include "core/optimizer.h"
+#include "data/observation_store.h"
 #include "synth/simulators.h"
 #include "util/random.h"
 
@@ -24,6 +25,7 @@ int main() {
     auto synth = MakeSimulatorByName(name, /*seed=*/42).ValueOrDie();
     const Dataset& dataset = synth.dataset;
     auto compiled = Compile(dataset, ModelConfig{}).ValueOrDie();
+    const ObservationStore store = ObservationStore::FromDataset(dataset);
     for (double fraction : bench::PaperFractions()) {
       Rng rng(11);
       auto split = MakeSplit(dataset, fraction, &rng).ValueOrDie();
@@ -32,7 +34,7 @@ int main() {
         OptimizerOptions options;
         options.tau = tau;
         auto decision = DecideAlgorithm(
-            dataset, split, compiled.layout.num_params, options);
+            store, split, compiled.layout.num_params, options);
         std::printf(" %-10s",
                     decision.algorithm == Algorithm::kErm ? "ERM" : "EM");
       }

@@ -70,8 +70,7 @@ void BM_ErmEpoch(benchmark::State& state) {
   ErmLearner learner(options);
   Rng rng(1);
   for (auto _ : state) {
-    auto stats = learner.FitObjectLoss(examples, &model, &rng, nullptr,
-                                       instance.get());
+    auto stats = learner.FitObjectLoss(examples, &model, &rng, nullptr);
     benchmark::DoNotOptimize(stats.ok());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -89,7 +88,7 @@ void BM_EmIteration(benchmark::State& state) {
   for (auto _ : state) {
     SlimFastModel model(instance);
     Rng rng(1);
-    auto stats = learner.Fit(d, {}, &model, &rng, nullptr, instance.get());
+    auto stats = learner.Fit({}, &model, &rng, nullptr);
     benchmark::DoNotOptimize(stats.ok());
   }
 }
@@ -98,8 +97,9 @@ BENCHMARK(BM_EmIteration);
 void BM_AgreementMatrix(benchmark::State& state) {
   auto synth = MakeBenchInstance(static_cast<int32_t>(state.range(0)),
                                  1000, 0.02);
+  const ObservationStore store = ObservationStore::FromDataset(synth.dataset);
   for (auto _ : state) {
-    AgreementMatrix matrix(synth.dataset);
+    AgreementMatrix matrix(store);
     benchmark::DoNotOptimize(matrix.NumObservedPairs());
   }
 }

@@ -10,6 +10,7 @@
 #include "bench_common.h"
 #include "core/compilation.h"
 #include "core/optimizer.h"
+#include "data/observation_store.h"
 #include "core/slimfast.h"
 #include "eval/metrics.h"
 #include "synth/simulators.h"
@@ -31,6 +32,7 @@ int main() {
     auto synth = MakeSimulatorByName(name, /*seed=*/42).ValueOrDie();
     const Dataset& dataset = synth.dataset;
     auto compiled = Compile(dataset, ModelConfig{}).ValueOrDie();
+    const ObservationStore store = ObservationStore::FromDataset(dataset);
 
     for (double fraction : bench::PaperFractions()) {
       std::vector<double> erm_scores;
@@ -41,7 +43,7 @@ int main() {
         Rng rng(seed);
         auto split = MakeSplit(dataset, fraction, &rng).ValueOrDie();
         if (rep == 0) {
-          decision = DecideAlgorithm(dataset, split,
+          decision = DecideAlgorithm(store, split,
                                      compiled.layout.num_params,
                                      OptimizerOptions{})
                          .algorithm;

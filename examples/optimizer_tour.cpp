@@ -8,6 +8,7 @@
 
 #include "core/compilation.h"
 #include "core/optimizer.h"
+#include "data/observation_store.h"
 #include "synth/simulators.h"
 #include "util/random.h"
 
@@ -20,11 +21,12 @@ int main() {
     auto synth = MakeSimulatorByName(name, /*seed=*/42).ValueOrDie();
     const Dataset& dataset = synth.dataset;
     auto compiled = Compile(dataset, ModelConfig{}).ValueOrDie();
+    const ObservationStore store = ObservationStore::FromDataset(dataset);
     for (double fraction : {0.001, 0.01, 0.05, 0.10, 0.20}) {
       Rng rng(11);
       auto split = MakeSplit(dataset, fraction, &rng).ValueOrDie();
       OptimizerDecision decision = DecideAlgorithm(
-          dataset, split, compiled.layout.num_params, OptimizerOptions{});
+          store, split, compiled.layout.num_params, OptimizerOptions{});
       std::printf("%-10s %-7.1f %-9.3f %-11.0f %-11.0f %-9.2f %s%s\n",
                   name.c_str(), fraction * 100,
                   decision.estimated_avg_accuracy, decision.erm_units,

@@ -102,8 +102,7 @@ void EStepShard(const CompiledInstance& inst, const std::vector<double>& sigma,
 
 }  // namespace
 
-void EmLearner::Initialize(const Dataset& dataset,
-                           const std::vector<LabeledExample>& labeled,
+void EmLearner::Initialize(const std::vector<LabeledExample>& labeled,
                            const std::vector<ObjectId>& train_objects,
                            SlimFastModel* model, Rng* rng) const {
   const ParamLayout& layout = model->layout();
@@ -120,25 +119,19 @@ void EmLearner::Initialize(const Dataset& dataset,
     ErmOptions seed_fit = options_.m_step;
     seed_fit.batch = false;  // the SGD fit, whatever m_step.batch says
     ErmLearner erm(seed_fit);
-    auto examples = ErmLearner::ObservationExamples(dataset, train_objects);
+    auto examples = ErmLearner::ObservationExamples(model->instance().store,
+                                                    train_objects);
     auto st = erm.FitAccuracyLoss(examples, model, rng);
     (void)st;
   }
 }
 
-Result<EmStats> EmLearner::Fit(const Dataset& dataset,
-                               const std::vector<ObjectId>& train_objects,
+Result<EmStats> EmLearner::Fit(const std::vector<ObjectId>& train_objects,
                                SlimFastModel* model, Rng* rng,
-                               Executor* exec,
-                               const CompiledInstance* instance,
-                               bool warm_start) const {
-  if (instance == nullptr) {
-    return Status::InvalidArgument("EM requires a compiled instance");
-  }
+                               Executor* exec, bool warm_start) const {
   SLIMFAST_ASSIGN_OR_RETURN(
-      EmStats stats, FitOnce(dataset, train_objects, model, rng,
-                             /*seed_from_labels=*/true, warm_start, exec,
-                             *instance));
+      EmStats stats, FitOnce(train_objects, model, rng,
+                             /*seed_from_labels=*/true, warm_start, exec));
   // Inversion guard: EM has a symmetric fixed point where most trust
   // scores flip sign (every label is anti-predicted). The ground-truth
   // objects are clamped during the E-step, so a healthy run predicts them
@@ -146,15 +139,14 @@ Result<EmStats> EmLearner::Fit(const Dataset& dataset,
   // training labels right, restart from the prior initialization without
   // the label-seeded fit and keep the better of the two runs.
   if (!train_objects.empty()) {
-    double accuracy = TrainAccuracy(dataset, train_objects, *model);
+    double accuracy = TrainAccuracy(train_objects, *model);
     if (accuracy < 0.5) {
       SlimFastModel retry(model->shared_compiled());
       SLIMFAST_ASSIGN_OR_RETURN(
           EmStats retry_stats,
-          FitOnce(dataset, train_objects, &retry, rng,
-                  /*seed_from_labels=*/false, /*warm_start=*/false, exec,
-                  *instance));
-      if (TrainAccuracy(dataset, train_objects, retry) > accuracy) {
+          FitOnce(train_objects, &retry, rng,
+                  /*seed_from_labels=*/false, /*warm_start=*/false, exec));
+      if (TrainAccuracy(train_objects, retry) > accuracy) {
         model->SetWeights(retry.weights());
         return retry_stats;
       }
@@ -163,17 +155,17 @@ Result<EmStats> EmLearner::Fit(const Dataset& dataset,
   return stats;
 }
 
-double EmLearner::TrainAccuracy(const Dataset& dataset,
-                                const std::vector<ObjectId>& train_objects,
+double EmLearner::TrainAccuracy(const std::vector<ObjectId>& train_objects,
                                 const SlimFastModel& model) {
   const std::vector<double> sigma = model.TrustScores();
   const ObservationStore& store = model.instance().store;
   int64_t evaluated = 0;
   int64_t correct = 0;
   for (ObjectId o : train_objects) {
-    if (!dataset.HasTruth(o)) continue;
+    if (!store.HasTruth(o)) continue;
     // Only rows whose truth is a candidate can be predicted correctly.
-    const int32_t target = store.DomainIndexOf(o, dataset.Truth(o));
+    const int32_t target =
+        store.DomainIndexOf(o, store.truth()[static_cast<size_t>(o)]);
     if (target < 0) continue;
     ++evaluated;
     if (model.MapIndex(o, sigma) == target) ++correct;
@@ -182,12 +174,11 @@ double EmLearner::TrainAccuracy(const Dataset& dataset,
   return static_cast<double>(correct) / static_cast<double>(evaluated);
 }
 
-Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
-                                   const std::vector<ObjectId>& train_objects,
+Result<EmStats> EmLearner::FitOnce(const std::vector<ObjectId>& train_objects,
                                    SlimFastModel* model, Rng* rng,
                                    bool seed_from_labels, bool warm_start,
-                                   Executor* exec,
-                                   const CompiledInstance& instance) const {
+                                   Executor* exec) const {
+  const CompiledInstance& instance = model->instance();
   const ObservationStore& store = instance.store;
   if (store.num_observations() == 0) {
     return Status::FailedPrecondition("EM requires at least one observation");
@@ -201,15 +192,14 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
   // unclamped labeled row would count its claims twice.
   std::vector<uint8_t> clamped(static_cast<size_t>(store.num_objects()), 0);
   for (ObjectId o : train_objects) {
-    if (dataset.HasTruth(o)) clamped[static_cast<size_t>(o)] = 1;
+    if (store.HasTruth(o)) clamped[static_cast<size_t>(o)] = 1;
   }
 
   // A warm-started relearn refines the model's current weights (the
   // previous fit); clobbering them with the prior would throw away the
   // state the short refinement schedule depends on.
   if (!warm_start) {
-    Initialize(dataset,
-               seed_from_labels ? labeled : std::vector<LabeledExample>{},
+    Initialize(seed_from_labels ? labeled : std::vector<LabeledExample>{},
                train_objects, model, rng);
   }
 
@@ -218,7 +208,7 @@ Result<EmStats> EmLearner::FitOnce(const Dataset& dataset,
   const int64_t num_sources = model->compiled().num_sources;
   SourceStats clamped_stats(num_sources);
   for (const ObservationExample& ex :
-       ErmLearner::ObservationExamples(dataset, train_objects)) {
+       ErmLearner::ObservationExamples(store, train_objects)) {
     clamped_stats.Add(ex.source, ex.label, ex.weight);
   }
 

@@ -6,13 +6,10 @@
 #include "core/erm.h"
 #include "core/model.h"
 #include "core/options.h"
-#include "data/dataset.h"
 #include "util/random.h"
 #include "util/result.h"
 
 namespace slimfast {
-
-struct CompiledInstance;
 
 /// Statistics of an EM run.
 struct EmStats {
@@ -70,14 +67,14 @@ class EmLearner {
 
   const EmOptions& options() const { return options_; }
 
-  /// Runs EM on `model` in place. `train_objects` may be empty
-  /// (fully unsupervised). The E-step's per-object posterior imputation is
-  /// sharded across `exec` (null = serial) with a deterministic reduce, so
-  /// thread count never changes the fit; an instance whose σ terms,
-  /// claims and candidates fall below kMinParallelWork runs its shards
-  /// inline (see exec/parallel.h). Each E-step computes σ once and scores
-  /// every object of `instance`, the compilation `model` was built on,
-  /// from its claims; a null `instance` is InvalidArgument.
+  /// Runs EM on `model` in place, over the model's own instance: its
+  /// store holds the claims and the truth of `train_objects`, which may
+  /// be empty (fully unsupervised). The E-step's per-object posterior
+  /// imputation is sharded across `exec` (null = serial) with a
+  /// deterministic reduce, so thread count never changes the fit; an
+  /// instance whose σ terms, claims and candidates fall below
+  /// kMinParallelWork runs its shards inline (see exec/parallel.h). Each
+  /// E-step computes σ once and scores every object from its claims.
   ///
   /// With `warm_start` set, the model's current weights are taken as the
   /// starting point — initialization (the logit-prior source weights and
@@ -86,30 +83,24 @@ class EmLearner {
   /// The warm run honors `EmOptions::warm_max_iterations`; the
   /// inversion-guard retry, if triggered, still initializes cold and
   /// keeps the full cold iteration budget.
-  Result<EmStats> Fit(const Dataset& dataset,
-                      const std::vector<ObjectId>& train_objects,
+  Result<EmStats> Fit(const std::vector<ObjectId>& train_objects,
                       SlimFastModel* model, Rng* rng, Executor* exec,
-                      const CompiledInstance* instance,
                       bool warm_start = false) const;
 
  private:
   /// One complete EM run (Fit adds the inversion-guard restart on top).
-  Result<EmStats> FitOnce(const Dataset& dataset,
-                          const std::vector<ObjectId>& train_objects,
+  Result<EmStats> FitOnce(const std::vector<ObjectId>& train_objects,
                           SlimFastModel* model, Rng* rng,
                           bool seed_from_labels, bool warm_start,
-                          Executor* exec,
-                          const CompiledInstance& instance) const;
+                          Executor* exec) const;
 
   /// MAP accuracy of `model` on the training objects whose truth is one
   /// of their candidates.
-  static double TrainAccuracy(const Dataset& dataset,
-                              const std::vector<ObjectId>& train_objects,
+  static double TrainAccuracy(const std::vector<ObjectId>& train_objects,
                               const SlimFastModel& model);
 
   /// Seeds weights before the first E-step.
-  void Initialize(const Dataset& dataset,
-                  const std::vector<LabeledExample>& labeled,
+  void Initialize(const std::vector<LabeledExample>& labeled,
                   const std::vector<ObjectId>& train_objects,
                   SlimFastModel* model, Rng* rng) const;
 

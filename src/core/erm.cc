@@ -31,17 +31,26 @@ std::vector<LabeledExample> ErmLearner::ObjectExamples(
 }
 
 std::vector<ObservationExample> ErmLearner::ObservationExamples(
-    const Dataset& dataset, const std::vector<ObjectId>& train_objects) {
+    const ObservationStore& store,
+    const std::vector<ObjectId>& train_objects) {
   std::vector<ObservationExample> examples;
   for (ObjectId o : train_objects) {
-    if (!dataset.HasTruth(o)) continue;
-    ValueId truth = dataset.Truth(o);
-    for (const SourceClaim& claim : dataset.ClaimsOnObject(o)) {
+    if (!store.HasTruth(o)) continue;
+    const ValueId truth = store.truth()[static_cast<size_t>(o)];
+    const IndexRange claims = store.ObjectRange(o);
+    for (int64_t i = claims.begin; i < claims.end; ++i) {
+      const size_t k = static_cast<size_t>(i);
       examples.push_back(ObservationExample{
-          claim.source, claim.value == truth ? 1.0 : 0.0, 1.0});
+          store.sources()[k], store.values()[k] == truth ? 1.0 : 0.0, 1.0});
     }
   }
   return examples;
+}
+
+std::vector<ObservationExample> ErmLearner::ObservationExamples(
+    const Dataset& dataset, const std::vector<ObjectId>& train_objects) {
+  return ObservationExamples(ObservationStore::FromDataset(dataset),
+                             train_objects);
 }
 
 namespace {
@@ -60,8 +69,8 @@ inline void AddSigmaGrad(const CompiledModel& model, SourceId s, double g,
 /// from the σ of the object's claiming sources under the current weights.
 Result<FitStats> FitObjectLossSgd(const ErmOptions& options,
                                   const std::vector<LabeledExample>& examples,
-                                  SlimFastModel* model, Rng* rng,
-                                  const CompiledInstance& inst) {
+                                  SlimFastModel* model, Rng* rng) {
+  const CompiledInstance& inst = model->instance();
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
   const CompiledModel& compiled = *inst.model;
@@ -183,7 +192,8 @@ struct BatchGradAcc {
 /// keeps the epoch gradient bit-identical for any thread count.
 Result<FitStats> FitObjectLossBatch(
     const ErmOptions& options, const std::vector<LabeledExample>& examples,
-    SlimFastModel* model, Executor* exec, const CompiledInstance& inst) {
+    SlimFastModel* model, Executor* exec) {
+  const CompiledInstance& inst = model->instance();
   std::vector<double>& w = *model->mutable_weights();
   const ParamLayout& layout = model->layout();
   const CompiledModel& compiled = *inst.model;
@@ -426,18 +436,15 @@ Result<FitStats> FitAccuracyLossSgd(
 
 Result<FitStats> ErmLearner::FitObjectLoss(
     const std::vector<LabeledExample>& examples, SlimFastModel* model,
-    Rng* rng, Executor* exec, const CompiledInstance* instance) const {
-  if (instance == nullptr) {
-    return Status::InvalidArgument("ERM requires a compiled instance");
-  }
+    Rng* rng, Executor* exec) const {
   if (examples.empty()) {
     return Status::FailedPrecondition(
         "ERM requires at least one labeled example");
   }
   if (options_.batch) {
-    return FitObjectLossBatch(options_, examples, model, exec, *instance);
+    return FitObjectLossBatch(options_, examples, model, exec);
   }
-  return FitObjectLossSgd(options_, examples, model, rng, *instance);
+  return FitObjectLossSgd(options_, examples, model, rng);
 }
 
 Result<FitStats> ErmLearner::FitAccuracyLoss(
@@ -585,22 +592,18 @@ Result<FitStats> ErmLearner::FitSourceStats(const SourceStats& source_stats,
   return stats;
 }
 
-Result<FitStats> ErmLearner::Fit(const Dataset& dataset,
-                                 const std::vector<ObjectId>& train_objects,
+Result<FitStats> ErmLearner::Fit(const std::vector<ObjectId>& train_objects,
                                  SlimFastModel* model, Rng* rng,
-                                 Executor* exec,
-                                 const CompiledInstance* instance) const {
-  if (instance == nullptr) {
-    return Status::InvalidArgument("ERM requires a compiled instance");
-  }
+                                 Executor* exec) const {
   switch (options_.loss) {
     case ErmLoss::kObjectPosterior: {
-      auto examples = ObjectExamples(*instance, train_objects);
-      return FitObjectLoss(examples, model, rng, exec, instance);
+      auto examples = ObjectExamples(model->instance(), train_objects);
+      return FitObjectLoss(examples, model, rng, exec);
     }
     case ErmLoss::kAccuracyLogLoss: {
-      auto examples = ObservationExamples(dataset, train_objects);
-      return FitAccuracyLoss(examples, model, rng, instance);
+      auto examples = ObservationExamples(model->instance().store,
+                                          train_objects);
+      return FitAccuracyLoss(examples, model, rng);
     }
   }
   return Status::Internal("unknown ERM loss");

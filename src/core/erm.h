@@ -6,6 +6,7 @@
 #include "core/model.h"
 #include "core/options.h"
 #include "data/dataset.h"
+#include "data/observation_store.h"
 #include "exec/parallel.h"
 #include "util/random.h"
 #include "util/result.h"
@@ -80,27 +81,33 @@ class ErmLearner {
       const CompiledInstance& instance,
       const std::vector<ObjectId>& train_objects);
 
-  /// Builds accuracy-loss examples: one per claim made on a train object.
+  /// Builds accuracy-loss examples: one per claim made on a train object
+  /// whose truth `store` records, in the object's claim order.
+  static std::vector<ObservationExample> ObservationExamples(
+      const ObservationStore& store,
+      const std::vector<ObjectId>& train_objects);
+
+  /// ObservationExamples over `ObservationStore::FromDataset(dataset)`.
+  /// Kept only for perfbench/driver.cc; delete it in the next
+  /// benchmark-scoped change.
   static std::vector<ObservationExample> ObservationExamples(
       const Dataset& dataset, const std::vector<ObjectId>& train_objects);
 
   /// Fits `model` in place on object-posterior examples (Eq. 4 likelihood)
-  /// over `instance` — the compilation `model` was built on. A null
-  /// `instance` is InvalidArgument. Through σ the gradient factors as
+  /// over the model's own instance. Through σ the gradient factors as
   /// g_w = Σ_s g_σs · ∂σ_s/∂w, with g_σs accumulated per claim. Batch mode
   /// shards that accumulation across `exec` (null = serial; results are
   /// identical either way); SGD mode is inherently sequential — each step
   /// reads the previous step's weights — and always runs serially.
   Result<FitStats> FitObjectLoss(const std::vector<LabeledExample>& examples,
                                  SlimFastModel* model, Rng* rng,
-                                 Executor* exec,
-                                 const CompiledInstance* instance) const;
+                                 Executor* exec) const;
 
   /// Fits `model` in place on accuracy log-loss examples (Definition 7).
-  /// Trust scores read the compiled model's σ CSR, so `instance` is
-  /// not read and may be null. With options().batch set, collapses the
-  /// examples into SourceStats and runs FitSourceStats instead of SGD
-  /// (`rng` is unused — no shuffling).
+  /// Trust scores read the compiled model's σ CSR; `instance` is unread
+  /// and may be null. With options().batch set, collapses the examples
+  /// into SourceStats and runs FitSourceStats instead of SGD (`rng` is
+  /// unused — no shuffling).
   /// Batch and SGD optimize the same objective but take different paths
   /// to it; each is bit-deterministic on its own.
   Result<FitStats> FitAccuracyLoss(
@@ -116,12 +123,11 @@ class ErmLearner {
   Result<FitStats> FitSourceStats(const SourceStats& stats,
                                   SlimFastModel* model) const;
 
-  /// Convenience dispatch on options().loss building examples internally.
-  /// A null `instance` is InvalidArgument, whichever loss is selected.
-  Result<FitStats> Fit(const Dataset& dataset,
-                       const std::vector<ObjectId>& train_objects,
-                       SlimFastModel* model, Rng* rng, Executor* exec,
-                       const CompiledInstance* instance) const;
+  /// Convenience dispatch on options().loss, building the examples of
+  /// `train_objects` from the model's own instance (its store holds the
+  /// claims and the truth).
+  Result<FitStats> Fit(const std::vector<ObjectId>& train_objects,
+                       SlimFastModel* model, Rng* rng, Executor* exec) const;
 
  private:
   ErmOptions options_;

@@ -10,9 +10,8 @@
 
 namespace slimfast {
 
-FusionSession::FusionSession(FusionSessionOptions options,
-                             FeatureSpace features)
-    : options_(std::move(options)), features_(std::move(features)) {}
+FusionSession::FusionSession(FusionSessionOptions options)
+    : options_(std::move(options)) {}
 
 Result<FusionSession> FusionSession::Create(int32_t num_sources,
                                             int32_t num_objects,
@@ -43,11 +42,10 @@ Result<FusionSession> FusionSession::Create(int32_t num_sources,
   // The facade's warm-start switch mirrors the session-level one.
   options.slimfast.warm_start.enabled = options.warm_start;
 
-  FusionSession session(std::move(options), std::move(features));
+  FusionSession session(std::move(options));
   session.num_sources_ = num_sources;
   session.num_objects_ = num_objects;
   session.num_values_ = num_values;
-  session.truth_.assign(static_cast<size_t>(num_objects), kNoValue);
   session.exec_ =
       std::make_unique<Executor>(session.options_.slimfast.exec);
   session.slimfast_ = std::make_unique<SlimFast>(session.options_.slimfast,
@@ -57,12 +55,11 @@ Result<FusionSession> FusionSession::Create(int32_t num_sources,
   // is then a uniform delta step.
   DatasetBuilder builder(session.options_.name, num_sources, num_objects,
                          num_values);
-  *builder.mutable_features() = session.features_;
-  SLIMFAST_ASSIGN_OR_RETURN(session.dataset_,
-                            std::move(builder).Build());
+  *builder.mutable_features() = std::move(features);
+  SLIMFAST_ASSIGN_OR_RETURN(Dataset empty, std::move(builder).Build());
   SLIMFAST_ASSIGN_OR_RETURN(
       session.instance_,
-      CompileInstance(session.dataset_, session.options_.slimfast.model));
+      CompileInstance(empty, session.options_.slimfast.model));
   return session;
 }
 
@@ -117,24 +114,29 @@ Result<FusionSession> FusionSession::Restore(const ObservationStore& store,
       Create(store.num_sources(), store.num_objects(), store.num_values(),
              std::move(options), std::move(features)));
 
-  // Re-ingest the claim history in the store's canonical order. The
-  // original arrival order is not preserved (the WAL tail covers
-  // anything past the checkpoint), but per-object claim order — the
-  // only order compilation and learning observe — is, so the recompiled
-  // instance must equal the checkpointed store bit for bit.
+  // Re-ingest the claim history, in the store's canonical order, and its
+  // truths as one delta. The original arrival order is not preserved (the
+  // WAL tail covers anything past the checkpoint), but per-object claim
+  // order — the only order compilation and learning observe — is, so the
+  // recompiled instance must equal the checkpointed store bit for bit.
+  // AppendBatch also rejects a duplicate (source, object) pair, which
+  // FromColumns does not check.
+  ObservationBatch history;
   const int64_t n = store.num_observations();
-  session.observations_.reserve(static_cast<size_t>(n));
+  history.observations.reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     const size_t k = static_cast<size_t>(i);
-    session.observations_.push_back(Observation{
+    history.observations.push_back(Observation{
         store.objects()[k], store.sources()[k], store.values()[k]});
   }
-  session.truth_ = store.truth();
-  session.dataset_stale_ = true;
-  SLIMFAST_RETURN_NOT_OK(session.RefreshDataset());
-  SLIMFAST_ASSIGN_OR_RETURN(
-      session.instance_,
-      CompileInstance(session.dataset_, session.options_.slimfast.model));
+  for (ObjectId o = 0; o < store.num_objects(); ++o) {
+    if (store.HasTruth(o)) {
+      history.truths.push_back(
+          TruthLabel{o, store.truth()[static_cast<size_t>(o)]});
+    }
+  }
+  SLIMFAST_ASSIGN_OR_RETURN(session.instance_,
+                            DeltaCompile(*session.instance_, history));
   if (!(session.instance_->store == store)) {
     return Status::Internal(
         "restored instance does not round-trip the checkpointed store "
@@ -160,18 +162,11 @@ Result<IngestStats> FusionSession::Ingest(const ObservationBatch& batch) {
   obs::TraceSpan span("core.ingest");
   Stopwatch watch;
   // DeltaCompile validates the batch via AppendBatch and leaves the
-  // session untouched on failure; the accumulators below only advance
-  // once the new instance exists.
+  // session untouched on failure; the counters below only advance once
+  // the new instance exists.
   SLIMFAST_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledInstance> next,
                             DeltaCompile(*instance_, batch));
   instance_ = std::move(next);
-
-  observations_.insert(observations_.end(), batch.observations.begin(),
-                       batch.observations.end());
-  for (const TruthLabel& label : batch.truths) {
-    truth_[static_cast<size_t>(label.object)] = label.value;
-  }
-  if (!batch.empty()) dataset_stale_ = true;
   ++num_ingested_batches_;
   ++pending_batches_;
 
@@ -188,42 +183,23 @@ Result<IngestStats> FusionSession::Ingest(const ObservationBatch& batch) {
   return stats;
 }
 
-Status FusionSession::RefreshDataset() {
-  if (!dataset_stale_) return Status::OK();
-  DatasetBuilder builder(options_.name, num_sources_, num_objects_,
-                         num_values_);
-  *builder.mutable_features() = features_;
-  for (const Observation& obs : observations_) {
-    SLIMFAST_RETURN_NOT_OK(
-        builder.AddObservation(obs.object, obs.source, obs.value));
-  }
-  for (ObjectId o = 0; o < num_objects_; ++o) {
-    ValueId truth = truth_[static_cast<size_t>(o)];
-    if (truth != kNoValue) {
-      SLIMFAST_RETURN_NOT_OK(builder.SetTruth(o, truth));
-    }
-  }
-  SLIMFAST_ASSIGN_OR_RETURN(dataset_, std::move(builder).Build());
-  dataset_stale_ = false;
-  return Status::OK();
-}
-
 Result<RelearnStats> FusionSession::Relearn() {
-  if (observations_.empty()) {
+  const ObservationStore& store = instance_->store;
+  if (store.num_observations() == 0) {
     return Status::FailedPrecondition(
         "nothing ingested yet: Ingest at least one observation before "
         "relearning");
   }
   obs::TraceSpan span("core.relearn");
   Stopwatch watch;
-  SLIMFAST_RETURN_NOT_OK(RefreshDataset());
 
-  // Every object with ingested truth is training data; the session has no
-  // held-out split of its own (evaluation against withheld truth is the
-  // caller's concern, e.g. `slimfast_cli replay`).
+  // Every object with ingested truth is training data, ascending; the
+  // session has no held-out split of its own (evaluation against withheld
+  // truth is the caller's concern, e.g. `slimfast_cli replay`).
   TrainTestSplit split;
   split.is_train.assign(static_cast<size_t>(num_objects_), 0);
-  for (ObjectId o : dataset_.ObjectsWithTruth()) {
+  for (ObjectId o = 0; o < num_objects_; ++o) {
+    if (!store.HasTruth(o)) continue;
     split.train_objects.push_back(o);
     split.is_train[static_cast<size_t>(o)] = 1;
   }
@@ -231,7 +207,7 @@ Result<RelearnStats> FusionSession::Relearn() {
   const bool warm = options_.warm_start && has_model();
   SLIMFAST_ASSIGN_OR_RETURN(
       SlimFastFit fit,
-      slimfast_->FitCompiled(dataset_, split, options_.seed, instance_,
+      slimfast_->FitCompiled(split, options_.seed, instance_,
                              warm ? &weights_ : nullptr, exec_.get()));
 
   weights_ = fit.model.weights();

@@ -23,7 +23,8 @@ struct FusionSessionOptions {
   /// facade. `exec.threads` sizes the session's executor, which shards
   /// relearning.
   SlimFastOptions slimfast;
-  /// Session name, used as the name of the datasets it rebuilds.
+  /// Session name: the facade's method name and the name of the empty
+  /// dataset the session compiles at Create.
   std::string name = "fusion-session";
   /// Seed for every relearn, so a session's trajectory is a pure function
   /// of its ingest sequence.
@@ -65,16 +66,19 @@ struct RelearnStats {
 /// `Query(object)` serves the current estimate — the serving-path
 /// counterpart of the one-shot `SlimFast::Run`.
 ///
-/// The session keeps a single `CompiledInstance` alive across its life.
-/// Each ingest extends it through `DeltaCompile`: the store splice of
-/// `ObservationStore::AppendBatch` plus the linear derive pass a full
-/// compile runs (claim candidates, offsets). The parameter structure and
-/// every trust-score expression carry over, since new claims change
-/// neither, so the result is bitwise-equal to recompiling the
-/// concatenated history from scratch by construction (asserted in tests
-/// and re-checked by `slimfast_cli replay`). Relearning warm-starts from
-/// the previous fit (`SlimFast::FitCompiled`), cutting the epoch budget
-/// to `WarmStartOptions::budget_scale` of a cold run.
+/// The session's one copy of its history is a single `CompiledInstance`,
+/// kept alive across its life: its `ObservationStore` holds every
+/// ingested claim, domain and truth. Each ingest extends it through
+/// `DeltaCompile`: the store splice of `ObservationStore::AppendBatch`
+/// plus the linear derive pass a full compile runs (claim candidates,
+/// offsets). The parameter structure and every trust-score expression
+/// carry over, since new claims change neither, so the result is
+/// bitwise-equal to recompiling the concatenated history from scratch by
+/// construction (asserted in tests and re-checked by `slimfast_cli
+/// replay`). Relearning hands that instance, and nothing else, to
+/// `SlimFast::FitCompiled`, warm-starting from the previous fit and
+/// cutting the epoch budget to `WarmStartOptions::budget_scale` of a
+/// cold run.
 ///
 /// Determinism: with a fixed options seed, the sequence of predictions is
 /// a pure function of the ingest sequence — relearning inherits the exec
@@ -136,11 +140,12 @@ class FusionSession {
 
   /// Rebuilds a session from a checkpointed store + State so that every
   /// subsequent Ingest/Relearn/Query is bit-identical to the session
-  /// that exported them. The claim history is re-ingested in the
-  /// store's canonical order and recompiled; the result must round-trip
+  /// that exported them: Create, then one DeltaCompile of the store's
+  /// claims (in canonical order) and truths. The result must round-trip
   /// to a store equal to `store` (learning depends only on per-object
   /// claim order, which canonical order preserves) — Internal if not.
-  /// InvalidArgument on a structurally inconsistent `state`.
+  /// InvalidArgument on a structurally inconsistent `state`; AlreadyExists
+  /// when the store repeats a (source, object) pair.
   static Result<FusionSession> Restore(const ObservationStore& store,
                                        State state,
                                        FusionSessionOptions options = {},
@@ -152,9 +157,10 @@ class FusionSession {
   /// ingests per relearn under heavy traffic.
   Result<IngestStats> Ingest(const ObservationBatch& batch);
 
-  /// Refits the model on everything ingested so far: all objects with
-  /// ingested truth are training data. Warm-starts from the previous
-  /// weights when enabled. Fails if nothing has been ingested yet.
+  /// Refits the model on the live instance: `SlimFast::FitCompiled` over
+  /// `instance()`, with every object whose truth the store holds as
+  /// training data (ascending). Warm-starts from the previous weights
+  /// when enabled. FailedPrecondition while the store holds no claims.
   Result<RelearnStats> Relearn();
 
   /// Current estimate for `object`: the last relearned model's MAP value,
@@ -216,26 +222,20 @@ class FusionSession {
   }
 
   int64_t num_observations() const {
-    return static_cast<int64_t>(observations_.size());
+    return instance_->store.num_observations();
   }
   int32_t num_ingested_batches() const { return num_ingested_batches_; }
   int32_t num_relearns() const { return num_relearns_; }
   bool has_model() const { return num_relearns_ > 0; }
 
  private:
-  FusionSession(FusionSessionOptions options, FeatureSpace features);
-
-  /// Rebuilds dataset_ from the accumulated history when stale. The
-  /// learners consume the Dataset view; the instance is its compiled
-  /// twin (bitwise-identical store by construction).
-  Status RefreshDataset();
+  explicit FusionSession(FusionSessionOptions options);
 
   /// Recomputes the flattened per-object posteriors (and per-object
   /// confidence) from the freshly fit model; called by Relearn.
   void RefreshPosteriors(const SlimFastModel& model);
 
   FusionSessionOptions options_;
-  FeatureSpace features_;
   int32_t num_sources_ = 0;
   int32_t num_objects_ = 0;
   int32_t num_values_ = 0;
@@ -243,12 +243,8 @@ class FusionSession {
   std::unique_ptr<Executor> exec_;
   std::unique_ptr<SlimFast> slimfast_;
 
-  // Accumulated history (the Dataset view is rebuilt lazily from these).
-  std::vector<Observation> observations_;
-  std::vector<ValueId> truth_;
-  Dataset dataset_;
-  bool dataset_stale_ = false;
-
+  // Everything ingested so far: claims, domains and truth live in its
+  // store.
   std::shared_ptr<const CompiledInstance> instance_;
 
   // Last-relearn outputs.

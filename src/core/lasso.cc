@@ -90,8 +90,7 @@ Result<LassoPath> ComputeLassoPath(const Dataset& dataset,
     // Warm start: the model keeps the previous penalty's weights.
     SLIMFAST_ASSIGN_OR_RETURN(FitStats stats,
                               learner.FitObjectLoss(examples, &model, rng,
-                                                    /*exec=*/nullptr,
-                                                    instance.get()));
+                                                    /*exec=*/nullptr));
     (void)stats;
 
     LassoPathPoint point;

@@ -57,14 +57,14 @@ Result<SlimFastFit> SlimFast::Fit(const Dataset& dataset,
         end);
   }
   SLIMFAST_ASSIGN_OR_RETURN(
-      SlimFastFit fit, FitCompiled(dataset, split, seed, std::move(instance),
+      SlimFastFit fit, FitCompiled(split, seed, std::move(instance),
                                    /*warm_weights=*/nullptr, exec));
   fit.compile_seconds = compile_seconds;
   return fit;
 }
 
 Result<SlimFastFit> SlimFast::FitCompiled(
-    const Dataset& dataset, const TrainTestSplit& split, uint64_t seed,
+    const TrainTestSplit& split, uint64_t seed,
     std::shared_ptr<const CompiledInstance> instance,
     const std::vector<double>* warm_weights, Executor* exec) const {
   if (instance == nullptr) {
@@ -75,8 +75,8 @@ Result<SlimFastFit> SlimFast::FitCompiled(
   OptimizerDecision decision;
   Algorithm algorithm = options_.algorithm;
   if (algorithm == Algorithm::kAuto) {
-    decision = DecideAlgorithm(dataset, split, compiled.layout.num_params,
-                               options_.optimizer);
+    decision = DecideAlgorithm(instance->store, split,
+                               compiled.layout.num_params, options_.optimizer);
     algorithm = decision.algorithm;
   } else {
     decision.algorithm = algorithm;
@@ -106,22 +106,20 @@ Result<SlimFastFit> SlimFast::FitCompiled(
   Stopwatch learn_watch;
   SlimFastModel model(instance);
   if (warm) model.SetWeights(*warm_weights);
-  const CompiledInstance* inst = instance.get();
   Rng rng(seed);
   int32_t learn_iterations = 0;
   bool learn_converged = false;
   double learn_objective = 0.0;
   if (algorithm == Algorithm::kErm) {
     ErmLearner learner(erm_options);
-    auto stats = learner.Fit(dataset, split.train_objects, &model, &rng,
-                             exec, inst);
+    auto stats = learner.Fit(split.train_objects, &model, &rng, exec);
     if (!stats.ok()) {
       // No usable ground truth for ERM (e.g. 0% training data with a
       // forced-ERM preset): fall back to EM rather than failing the run.
       EmLearner em(em_options);
       SLIMFAST_ASSIGN_OR_RETURN(EmStats em_stats,
-                                em.Fit(dataset, split.train_objects, &model,
-                                       &rng, exec, inst, warm));
+                                em.Fit(split.train_objects, &model, &rng,
+                                       exec, warm));
       learn_iterations = em_stats.iterations;
       learn_converged = em_stats.converged;
       learn_objective = em_stats.final_expected_nll;
@@ -136,8 +134,7 @@ Result<SlimFastFit> SlimFast::FitCompiled(
     EmLearner learner(em_options);
     SLIMFAST_ASSIGN_OR_RETURN(
         EmStats em_stats,
-        learner.Fit(dataset, split.train_objects, &model, &rng, exec, inst,
-                    warm));
+        learner.Fit(split.train_objects, &model, &rng, exec, warm));
     learn_iterations = em_stats.iterations;
     learn_converged = em_stats.converged;
     learn_objective = em_stats.final_expected_nll;
@@ -162,6 +159,13 @@ Result<SlimFastFit> SlimFast::FitCompiled(
   fit.learn_converged = learn_converged;
   fit.learn_objective = learn_objective;
   return fit;
+}
+
+Result<SlimFastFit> SlimFast::FitCompiled(
+    const Dataset& /*dataset*/, const TrainTestSplit& split, uint64_t seed,
+    std::shared_ptr<const CompiledInstance> instance,
+    const std::vector<double>* warm_weights, Executor* exec) const {
+  return FitCompiled(split, seed, std::move(instance), warm_weights, exec);
 }
 
 Result<FusionOutput> SlimFast::Run(const Dataset& dataset,
@@ -191,8 +195,8 @@ Result<FusionOutput> SlimFast::Run(const Dataset& dataset,
     calibration.batch = false;
     calibration.epochs = std::max<int32_t>(30, calibration.epochs / 2);
     ErmLearner learner(calibration);
-    auto examples =
-        ErmLearner::ObservationExamples(dataset, split.train_objects);
+    auto examples = ErmLearner::ObservationExamples(fit.instance->store,
+                                                    split.train_objects);
     Rng rng(seed ^ 0xc2b2ae3d27d4eb4fULL);
     auto stats = learner.FitAccuracyLoss(examples, &calibrated, &rng,
                                          fit.instance.get());

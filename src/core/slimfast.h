@@ -66,14 +66,23 @@ class SlimFast : public FusionMethod {
 
   /// Learns against an already-compiled instance — the incremental
   /// relearning entry point used by `FusionSession`. Compilation is
-  /// skipped entirely (`instance` typically comes from `DeltaCompile`);
-  /// `dataset` must be the data `instance` was compiled from.
+  /// skipped entirely (`instance` typically comes from `DeltaCompile`).
+  /// The instance is the only input: the optimizer, the learners and the
+  /// labels of `split.train_objects` all read its store.
   ///
   /// When `warm_weights` is non-null, its size matches the instance's
   /// parameter layout, and `options().warm_start.enabled` is set, the fit
   /// seeds from those weights and runs the warm refinement schedule
   /// (`WarmStartOptions::budget_scale` of the cold epoch/iteration
   /// budget) instead of the full cold start; otherwise it learns cold.
+  Result<SlimFastFit> FitCompiled(
+      const TrainTestSplit& split, uint64_t seed,
+      std::shared_ptr<const CompiledInstance> instance,
+      const std::vector<double>* warm_weights = nullptr,
+      Executor* exec = nullptr) const;
+
+  /// FitCompiled with an unread `Dataset`. Kept only for
+  /// perfbench/driver.cc; delete it in the next benchmark-scoped change.
   Result<SlimFastFit> FitCompiled(
       const Dataset& dataset, const TrainTestSplit& split, uint64_t seed,
       std::shared_ptr<const CompiledInstance> instance,

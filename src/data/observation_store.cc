@@ -122,7 +122,7 @@ ObservationStore ObservationStore::FromDataset(const Dataset& dataset) {
 }
 
 Result<ObservationStore> ObservationStore::AppendBatch(
-    const ObservationBatch& batch, std::vector<ObjectId>* touched) const {
+    const ObservationBatch& batch) const {
   // ---- Validate everything before touching any state. ----
   // Claims grouped per object, preserving batch order within each object
   // (the order they will occupy in the object's extended range).
@@ -279,20 +279,6 @@ Result<ObservationStore> ObservationStore::AppendBatch(
   for (const auto& [object, value] : new_truth) {
     out.truth_[static_cast<size_t>(object)] = value;
     out.fingerprint_ += TruthDigest(object, value);
-  }
-
-  if (touched != nullptr) {
-    touched->clear();
-    touched->reserve(by_object.size() + new_truth.size());
-    for (const auto& [object, indexes] : by_object) {
-      touched->push_back(object);
-    }
-    for (const auto& [object, value] : new_truth) {
-      touched->push_back(object);
-    }
-    std::sort(touched->begin(), touched->end());
-    touched->erase(std::unique(touched->begin(), touched->end()),
-                   touched->end());
   }
   return out;
 }

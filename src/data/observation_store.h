@@ -122,12 +122,7 @@ class ObservationStore {
   /// whole history, and a truth label may not contradict one already
   /// recorded (re-asserting the same truth is a no-op). On error the
   /// existing store is unchanged and no partial batch is applied.
-  ///
-  /// When `touched` is non-null it receives the ascending, deduplicated
-  /// list of objects whose claims, domain, or truth changed.
-  Result<ObservationStore> AppendBatch(
-      const ObservationBatch& batch,
-      std::vector<ObjectId>* touched = nullptr) const;
+  Result<ObservationStore> AppendBatch(const ObservationBatch& batch) const;
 
   /// Order-sensitive content fingerprint of the store: dimensions, every
   /// observation (keyed by its position within its object's range), and

@@ -38,11 +38,11 @@ Result<TrainTestSplit> MakeSplit(const Dataset& dataset,
   return split;
 }
 
-int64_t CountLabeledObservations(const Dataset& dataset,
+int64_t CountLabeledObservations(const ObservationStore& store,
                                  const TrainTestSplit& split) {
   int64_t count = 0;
   for (ObjectId o : split.train_objects) {
-    count += static_cast<int64_t>(dataset.ClaimsOnObject(o).size());
+    count += store.ObjectRange(o).size();
   }
   return count;
 }

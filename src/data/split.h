@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "data/observation_store.h"
 #include "util/random.h"
 #include "util/result.h"
 
@@ -38,7 +39,7 @@ Result<TrainTestSplit> MakeSplit(const Dataset& dataset,
 /// count of claims made on training objects. This is the sample size |G|
 /// entering the ERM bounds (each (s, o) pair on a labeled object is one
 /// training example for the accuracy model).
-int64_t CountLabeledObservations(const Dataset& dataset,
+int64_t CountLabeledObservations(const ObservationStore& store,
                                  const TrainTestSplit& split);
 
 }  // namespace slimfast

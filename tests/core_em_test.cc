@@ -26,22 +26,9 @@ TEST(EmTest, FailsWithoutObservations) {
   SlimFastModel model(instance);
   EmLearner learner(EmOptions{});
   Rng rng(1);
-  EXPECT_TRUE(learner.Fit(d, {}, &model, &rng, nullptr, instance.get())
+  EXPECT_TRUE(learner.Fit({}, &model, &rng, nullptr)
                   .status()
                   .IsFailedPrecondition());
-}
-
-TEST(EmTest, RejectsNullInstance) {
-  Dataset d = testutil::MakeFigure1Dataset();
-  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
-  SlimFastModel model(instance);
-  const std::vector<double> before = model.weights();
-  EmLearner learner(EmOptions{});
-  Rng rng(1);
-  EXPECT_TRUE(learner.Fit(d, {0}, &model, &rng, nullptr, nullptr)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_EQ(model.weights(), before);  // no fallback fit ran
 }
 
 TEST(EmTest, UnsupervisedRecoversTruthOnDenseAccurateInstance) {
@@ -56,7 +43,7 @@ TEST(EmTest, UnsupervisedRecoversTruthOnDenseAccurateInstance) {
   EmLearner learner(EmOptions{});
   Rng rng(5);
   auto stats =
-      learner.Fit(d, {}, &model, &rng, nullptr, instance.get()).ValueOrDie();
+      learner.Fit({}, &model, &rng, nullptr).ValueOrDie();
   EXPECT_GE(stats.iterations, 1);
 
   auto predictions = model.PredictAll();
@@ -77,7 +64,7 @@ TEST(EmTest, UnsupervisedSourceAccuraciesAreReasonable) {
   EmLearner learner(EmOptions{});
   Rng rng(6);
   ASSERT_TRUE(
-      learner.Fit(d, {}, &model, &rng, nullptr, instance.get()).ok());
+      learner.Fit({}, &model, &rng, nullptr).ok());
   // Order should be respected: best sources above the weak ones.
   EXPECT_GT(model.SourceAccuracy(0), model.SourceAccuracy(2));
   EXPECT_GT(model.SourceAccuracy(1), model.SourceAccuracy(3));
@@ -100,8 +87,7 @@ TEST(EmTest, SemiSupervisedClampsTrainingLabels) {
   EmLearner learner(EmOptions{});
   Rng rng(8);
   ASSERT_TRUE(learner
-                  .Fit(d, split.train_objects, &model, &rng, nullptr,
-                       instance.get())
+                  .Fit(split.train_objects, &model, &rng, nullptr)
                   .ok());
   auto predictions = model.PredictAll();
   double test_accuracy =
@@ -143,8 +129,7 @@ TEST(EmTest, AllLabeledInstanceLeavesNothingToImpute) {
       SlimFastModel model(instance);
       Rng rng(4);
       SLIMFAST_CHECK_OK(EmLearner(options)
-                            .Fit(d, {0, 1, 2, 3}, &model, &rng, nullptr,
-                                 instance.get())
+                            .Fit({0, 1, 2, 3}, &model, &rng, nullptr)
                             .status());
       return model.weights();
     };
@@ -164,7 +149,7 @@ TEST(EmTest, SoftEmAlsoConverges) {
   EmLearner learner(options);
   Rng rng(9);
   auto stats =
-      learner.Fit(d, {}, &model, &rng, nullptr, instance.get()).ValueOrDie();
+      learner.Fit({}, &model, &rng, nullptr).ValueOrDie();
   EXPECT_GE(stats.iterations, 1);
   auto predictions = model.PredictAll();
   double accuracy =
@@ -187,7 +172,7 @@ TEST(EmTest, InitAccuracySeedsMajorityVote) {
   EmLearner learner(options);
   Rng rng(10);
   ASSERT_TRUE(
-      learner.Fit(d, {}, &model, &rng, nullptr, instance.get()).ok());
+      learner.Fit({}, &model, &rng, nullptr).ok());
   // With init logit(0.7) on every source, MAP = majority value.
   auto predictions = model.PredictAll();
   int64_t majority_matches = 0;
@@ -226,7 +211,7 @@ TEST(EmTest, DensityImprovesEmQuality) {
     EmLearner learner(EmOptions{});
     Rng rng(3);
     SLIMFAST_CHECK_OK(
-        learner.Fit(d, {}, &model, &rng, nullptr, instance.get()).status());
+        learner.Fit({}, &model, &rng, nullptr).status());
     double error = 0.0;
     int64_t count = 0;
     for (SourceId s = 0; s < d.num_sources(); ++s) {
@@ -257,7 +242,7 @@ TEST(EmTest, ExpectedNllDecreasesOrConverges) {
   SlimFastModel model_few(instance);
   Rng rng1(1);
   auto stats_few = EmLearner(few)
-                       .Fit(d, {}, &model_few, &rng1, nullptr, instance.get())
+                       .Fit({}, &model_few, &rng1, nullptr)
                        .ValueOrDie();
 
   EmOptions many;
@@ -266,7 +251,7 @@ TEST(EmTest, ExpectedNllDecreasesOrConverges) {
   Rng rng2(1);
   auto stats_many =
       EmLearner(many)
-          .Fit(d, {}, &model_many, &rng2, nullptr, instance.get())
+          .Fit({}, &model_many, &rng2, nullptr)
           .ValueOrDie();
 
   EXPECT_LE(stats_many.final_expected_nll,
@@ -425,8 +410,7 @@ TEST(EmStatsTest, HardAndSoftEmBitIdenticalAcrossThreadsAndSimd) {
       SlimFastModel model(instance);
       Rng rng(9);
       EmLearner learner(options);
-      auto stats = learner.Fit(d, split.train_objects, &model, &rng, &exec,
-                               instance.get());
+      auto stats = learner.Fit(split.train_objects, &model, &rng, &exec);
       simd::SetWideEnabledForTest(wide_default);
       EXPECT_TRUE(stats.ok()) << stats.status();
       return model.weights();
@@ -459,8 +443,8 @@ TEST(EmStatsTest, HardAndSoftEmBitIdenticalWhenTheEStepDispatches) {
       Executor exec(ExecOptions{threads});
       SlimFastModel model(instance);
       Rng rng(9);
-      auto stats = EmLearner(options).Fit(d, split.train_objects, &model,
-                                          &rng, &exec, instance.get());
+      auto stats =
+          EmLearner(options).Fit(split.train_objects, &model, &rng, &exec);
       EXPECT_TRUE(stats.ok()) << stats.status();
       EXPECT_EQ(exec.pool_started(), threads > 1);
       return model.weights();
@@ -483,8 +467,7 @@ TEST(EmStopRuleTest, HardEmReachesItsFixedPointOnTheFuseEmShape) {
     Rng rng(seed);
     const EmOptions options;
     EmStats stats = EmLearner(options)
-                        .Fit(d, split.train_objects, &model, &rng, nullptr,
-                             instance.get())
+                        .Fit(split.train_objects, &model, &rng, nullptr)
                         .ValueOrDie();
     EXPECT_TRUE(stats.converged);
     EXPECT_LT(stats.iterations, options.max_iterations);
@@ -504,14 +487,13 @@ TEST(EmStopRuleTest, WarmRefitFromTheFixedPointStopsAtOnce) {
   Rng rng(3);
   EmLearner learner{EmOptions{}};
   ASSERT_TRUE(learner
-                  .Fit(d, split.train_objects, &model, &rng, nullptr,
-                       instance.get())
+                  .Fit(split.train_objects, &model, &rng, nullptr)
                   .ValueOrDie()
                   .converged);
   const std::vector<ValueId> stopped = model.PredictAll();
   EmStats refit = learner
-                      .Fit(d, split.train_objects, &model, &rng, nullptr,
-                           instance.get(), /*warm_start=*/true)
+                      .Fit(split.train_objects, &model, &rng, nullptr,
+                           /*warm_start=*/true)
                       .ValueOrDie();
   EXPECT_TRUE(refit.converged);
   EXPECT_LE(refit.iterations, 3);
@@ -536,7 +518,7 @@ TEST(EmStopRuleTest, InversionGuardRetryStillRuns) {
   trace.Clear();
   trace.Enable();
   EmStats stats = EmLearner(options)
-                      .Fit(d, {0}, &model, &rng, nullptr, instance.get())
+                      .Fit({0}, &model, &rng, nullptr)
                       .ValueOrDie();
   trace.Disable();
   const std::string json = trace.ToChromeJson();
@@ -565,8 +547,7 @@ TEST(EmStopRuleTest, MStepsShareOneEpochBudget) {
   options.m_step.tolerance = 0.0;
   Rng rng(23);
   EmStats stats = EmLearner(options)
-                      .Fit(d, split.train_objects, &model, &rng, nullptr,
-                           instance.get())
+                      .Fit(split.train_objects, &model, &rng, nullptr)
                       .ValueOrDie();
   EXPECT_EQ(stats.mstep_epochs,
             options.m_step.epochs * options.max_iterations);

@@ -4,6 +4,7 @@
 
 #include "core/compiled_instance.h"
 #include "core/erm.h"
+#include "data/observation_store.h"
 #include "eval/metrics.h"
 #include "test_util.h"
 #include "util/math.h"
@@ -33,7 +34,8 @@ TEST(ErmExamplesTest, SkipsTruthOutsideDomain) {
 
 TEST(ErmExamplesTest, ObservationExamplesLabelCorrectness) {
   Dataset d = testutil::MakeFigure1Dataset();
-  auto examples = ErmLearner::ObservationExamples(d, {0});
+  auto examples =
+      ErmLearner::ObservationExamples(ObservationStore::FromDataset(d), {0});
   // Object 0 truth=0: source 0 claims 0 (correct), source 1 claims 1
   // (wrong), source 2 claims 0 (correct).
   ASSERT_EQ(examples.size(), 3u);
@@ -48,39 +50,12 @@ TEST(ErmTest, FailsWithoutExamples) {
   SlimFastModel model(instance);
   ErmLearner learner(ErmOptions{});
   Rng rng(1);
-  EXPECT_TRUE(learner.FitObjectLoss({}, &model, &rng, nullptr, instance.get())
+  EXPECT_TRUE(learner.FitObjectLoss({}, &model, &rng, nullptr)
                   .status()
                   .IsFailedPrecondition());
   EXPECT_TRUE(learner.FitAccuracyLoss({}, &model, &rng)
                   .status()
                   .IsFailedPrecondition());
-}
-
-TEST(ErmTest, RejectsNullInstance) {
-  Dataset d = testutil::MakeFigure1Dataset();
-  auto instance = CompileInstance(d, ModelConfig{}).ValueOrDie();
-  SlimFastModel model(instance);
-  const std::vector<double> before = model.weights();
-  const std::vector<LabeledExample> examples =
-      ErmLearner::ObjectExamples(*instance, {0, 1});
-  ASSERT_FALSE(examples.empty());
-  for (ErmLoss loss : {ErmLoss::kObjectPosterior, ErmLoss::kAccuracyLogLoss}) {
-    for (bool batch : {false, true}) {
-      ErmOptions options;
-      options.loss = loss;
-      options.batch = batch;
-      ErmLearner learner(options);
-      Rng rng(1);
-      EXPECT_TRUE(learner.Fit(d, {0, 1}, &model, &rng, nullptr, nullptr)
-                      .status()
-                      .IsInvalidArgument());
-      EXPECT_TRUE(
-          learner.FitObjectLoss(examples, &model, &rng, nullptr, nullptr)
-              .status()
-              .IsInvalidArgument());
-    }
-  }
-  EXPECT_EQ(model.weights(), before);  // no fallback fit ran
 }
 
 TEST(ErmTest, LearnsToSeparateGoodFromBadSources) {
@@ -96,8 +71,7 @@ TEST(ErmTest, LearnsToSeparateGoodFromBadSources) {
   ErmLearner learner(ErmOptions{});
   Rng rng(7);
   auto split = testutil::MakePrefixSplit(d, 150);
-  auto stats = learner.Fit(d, split.train_objects, &model, &rng, nullptr,
-                           instance.get());
+  auto stats = learner.Fit(split.train_objects, &model, &rng, nullptr);
   ASSERT_TRUE(stats.ok()) << stats.status();
 
   // Note: the object-posterior loss is discriminative — once the labeled
@@ -129,8 +103,7 @@ TEST(ErmTest, PredictionsBeatMajorityOnAdversarialInstance) {
   Rng rng(3);
   auto split = testutil::MakePrefixSplit(d, 80);
   ASSERT_TRUE(learner
-                  .Fit(d, split.train_objects, &model, &rng, nullptr,
-                       instance.get())
+                  .Fit(split.train_objects, &model, &rng, nullptr)
                   .ok());
 
   auto predictions = model.PredictAll();
@@ -155,8 +128,7 @@ TEST(ErmTest, AccuracyLossRecoverEmpiricalRates) {
   Rng rng(5);
   auto split = testutil::MakePrefixSplit(d, 400);
   ASSERT_TRUE(learner
-                  .Fit(d, split.train_objects, &model, &rng, nullptr,
-                       instance.get())
+                  .Fit(split.train_objects, &model, &rng, nullptr)
                   .ok());
   for (SourceId s = 0; s < 3; ++s) {
     double empirical = d.EmpiricalSourceAccuracy(s).ValueOrDie();
@@ -177,8 +149,7 @@ TEST(ErmTest, BatchAndSgdAgreeOnPredictions) {
   sgd_options.epochs = 80;
   Rng rng1(1);
   ASSERT_TRUE(ErmLearner(sgd_options)
-                  .Fit(d, split.train_objects, &sgd_model, &rng1, nullptr,
-                       instance.get())
+                  .Fit(split.train_objects, &sgd_model, &rng1, nullptr)
                   .ok());
 
   SlimFastModel batch_model(instance);
@@ -188,8 +159,7 @@ TEST(ErmTest, BatchAndSgdAgreeOnPredictions) {
   batch_options.learning_rate = 2.0;
   Rng rng2(2);
   ASSERT_TRUE(ErmLearner(batch_options)
-                  .Fit(d, split.train_objects, &batch_model, &rng2, nullptr,
-                       instance.get())
+                  .Fit(split.train_objects, &batch_model, &rng2, nullptr)
                   .ok());
 
   auto p1 = sgd_model.PredictAll();
@@ -228,8 +198,7 @@ TEST(ErmTest, L1ZeroesFeatureWeightsOnly) {
   Rng rng(3);
   auto split = testutil::MakePrefixSplit(d, 40);
   ASSERT_TRUE(learner
-                  .Fit(d, split.train_objects, &model, &rng, nullptr,
-                       instance.get())
+                  .Fit(split.train_objects, &model, &rng, nullptr)
                   .ok());
 
   const ParamLayout& layout = model.layout();
@@ -264,7 +233,7 @@ TEST(ErmTest, WeightedExamplesShiftTheFit) {
   ErmLearner learner(options);
   Rng rng(9);
   ASSERT_TRUE(
-      learner.FitObjectLoss(examples, &model, &rng, nullptr, instance.get())
+      learner.FitObjectLoss(examples, &model, &rng, nullptr)
           .ok());
   std::vector<double> probs;
   ASSERT_TRUE(model.PosteriorOf(0, &probs));
@@ -286,7 +255,7 @@ TEST(ErmTest, ConvergenceStopsEarly) {
   Rng rng(4);
   auto split = testutil::MakePrefixSplit(d, 30);
   auto stats =
-      learner.Fit(d, split.train_objects, &model, &rng, nullptr, instance.get())
+      learner.Fit(split.train_objects, &model, &rng, nullptr)
           .ValueOrDie();
   EXPECT_TRUE(stats.converged);
   EXPECT_LT(stats.epochs, 5000);
@@ -307,8 +276,7 @@ TEST_P(ErmSampleSizeSweep, MoreLabelsNeverMuchWorse) {
   Rng rng(GetParam());
   auto split = testutil::MakePrefixSplit(d, GetParam());
   ASSERT_TRUE(learner
-                  .Fit(d, split.train_objects, &model, &rng, nullptr,
-                       instance.get())
+                  .Fit(split.train_objects, &model, &rng, nullptr)
                   .ok());
   // Source-accuracy estimation error should be modest once |G| >= 100.
   double error_sum = 0.0;

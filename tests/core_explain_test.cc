@@ -153,8 +153,7 @@ TEST(ExplainIntegrationTest, TrainedModelExplainsSensibly) {
   Rng rng(5);
   auto split = testutil::MakePrefixSplit(d, 200);
   ASSERT_TRUE(learner
-                  .Fit(d, split.train_objects, &model, &rng, nullptr,
-                       instance.get())
+                  .Fit(split.train_objects, &model, &rng, nullptr)
                   .ok());
 
   ObjectId target = split.test_objects.front();

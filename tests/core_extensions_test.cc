@@ -57,8 +57,7 @@ TEST(SourceInitTest, PredictsUnseenSourceAccuracyFromFeatures) {
   Rng rng(1);
   auto split = testutil::MakePrefixSplit(d, 200);
   ASSERT_TRUE(learner
-                  .Fit(d, split.train_objects, &model, &rng, nullptr,
-                       instance.get())
+                  .Fit(split.train_objects, &model, &rng, nullptr)
                   .ok());
 
   auto predictor = SourceQualityPredictor::FromModel(model).ValueOrDie();
@@ -81,8 +80,7 @@ TEST(SourceInitTest, PredictAccuracyOfUsesDatasetFeatures) {
   Rng rng(2);
   auto split = testutil::MakePrefixSplit(d, 150);
   ASSERT_TRUE(learner
-                  .Fit(d, split.train_objects, &model, &rng, nullptr,
-                       instance.get())
+                  .Fit(split.train_objects, &model, &rng, nullptr)
                   .ok());
   auto predictor = SourceQualityPredictor::FromModel(model).ValueOrDie();
   // Source 0 is "high", source 1 is "low".
@@ -139,8 +137,7 @@ TEST(CopyingTest, TopRelationsIdentifyCopiers) {
   Rng rng(3);
   auto split = testutil::MakePrefixSplit(d, 200);
   ASSERT_TRUE(learner
-                  .Fit(d, split.train_objects, &model, &rng, nullptr,
-                       instance.get())
+                  .Fit(split.train_objects, &model, &rng, nullptr)
                   .ok());
 
   auto relations = TopCopyingRelations(model, 3);
@@ -164,8 +161,7 @@ TEST(CopyingTest, CopyModelAtLeastMatchesPlainErm) {
   SlimFastModel plain_model(plain_instance);
   ErmLearner learner{ErmOptions{}};
   ASSERT_TRUE(learner
-                  .Fit(d, split.train_objects, &plain_model, &rng1, nullptr,
-                       plain_instance.get())
+                  .Fit(split.train_objects, &plain_model, &rng1, nullptr)
                   .ok());
 
   ModelConfig copying = plain;
@@ -174,8 +170,7 @@ TEST(CopyingTest, CopyModelAtLeastMatchesPlainErm) {
   auto copy_instance = CompileInstance(d, copying).ValueOrDie();
   SlimFastModel copy_model(copy_instance);
   ASSERT_TRUE(learner
-                  .Fit(d, split.train_objects, &copy_model, &rng2, nullptr,
-                       copy_instance.get())
+                  .Fit(split.train_objects, &copy_model, &rng2, nullptr)
                   .ok());
 
   double plain_acc =

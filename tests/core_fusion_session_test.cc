@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 namespace slimfast {
 namespace {
 
+using testutil::AllSlimFastPresets;
 using testutil::Figure1TruthValues;
 using testutil::MakeFigure1Dataset;
 using testutil::MakePlantedDataset;
@@ -252,6 +254,82 @@ TEST(FusionSessionTest, ExportSnapshotCarriesModelAndEvidence) {
 
   // Exporting is pure: two exports of the same state are bit-identical.
   EXPECT_TRUE(*snapshot == *session.ExportSnapshot());
+}
+
+/// Asserts that `session`'s last relearn is, bit for bit, a cold
+/// `SlimFast::FitCompiled` over its own instance with every object whose
+/// truth the store holds as the split: same weights, predictions, source
+/// accuracies and posteriors.
+void ExpectRelearnIsFitCompiledOnInstance(const FusionSession& session,
+                                          const FusionSessionOptions& options,
+                                          const std::string& label) {
+  const std::shared_ptr<const CompiledInstance>& instance = session.instance();
+  const ObservationStore& store = instance->store;
+  TrainTestSplit split;
+  split.is_train.assign(static_cast<size_t>(store.num_objects()), 0);
+  for (ObjectId o = 0; o < store.num_objects(); ++o) {
+    if (!store.HasTruth(o)) continue;
+    split.train_objects.push_back(o);
+    split.is_train[static_cast<size_t>(o)] = 1;
+  }
+  SlimFastFit fit = SlimFast(options.slimfast, options.name)
+                        .FitCompiled(split, options.seed, instance)
+                        .ValueOrDie();
+  EXPECT_FALSE(fit.warm_started) << label;
+  EXPECT_EQ(session.weights(), fit.model.weights()) << label;
+  EXPECT_EQ(session.predictions(), fit.model.PredictAll()) << label;
+  EXPECT_EQ(session.source_accuracies(), fit.model.AllSourceAccuracies())
+      << label;
+
+  const std::vector<double> sigma = fit.model.TrustScores();
+  std::vector<double> posteriors;
+  std::vector<double> probs;
+  for (ObjectId o = 0; o < store.num_objects(); ++o) {
+    if (fit.model.Posterior(o, sigma, &probs)) {
+      posteriors.insert(posteriors.end(), probs.begin(), probs.end());
+    }
+  }
+  EXPECT_EQ(session.ExportState().posterior_probs, posteriors) << label;
+}
+
+TEST(FusionSessionTest, RelearnEqualsFitCompiledOnItsInstance) {
+  const std::vector<double> planted = {0.92, 0.85, 0.7, 0.6, 0.55};
+  Dataset dataset = MakePlantedDataset(planted, 60, 0.5, 17, /*num_values=*/3);
+  TrainTestSplit split = MakePrefixSplit(dataset, 12);
+  std::vector<ObservationBatch> chunks = TrainOnlyChunks(dataset, split, 4);
+  const ObservationBatch last = chunks.back();
+  chunks.pop_back();
+
+  for (const auto& preset : AllSlimFastPresets()) {
+    FusionSessionOptions options;
+    options.slimfast = preset.make()->options();
+    options.warm_start = false;
+    options.seed = 9;
+    FusionSession session =
+        FusionSession::Create(dataset.num_sources(), dataset.num_objects(),
+                              dataset.num_values(), options,
+                              dataset.features())
+            .ValueOrDie();
+    for (const ObservationBatch& chunk : chunks) {
+      SLIMFAST_CHECK_OK(session.Ingest(chunk).status());
+      SLIMFAST_CHECK_OK(session.Relearn().status());
+    }
+    ExpectRelearnIsFitCompiledOnInstance(session, options, preset.name);
+
+    // The restored session is its instance too: one more chunk, one more
+    // relearn.
+    FusionSession restored =
+        FusionSession::Restore(session.instance()->store,
+                               session.ExportState(), options,
+                               dataset.features())
+            .ValueOrDie();
+    EXPECT_TRUE(restored.ExportState() == session.ExportState())
+        << preset.name;
+    SLIMFAST_CHECK_OK(restored.Ingest(last).status());
+    SLIMFAST_CHECK_OK(restored.Relearn().status());
+    ExpectRelearnIsFitCompiledOnInstance(restored, options,
+                                         preset.name + " restored");
+  }
 }
 
 TEST(FusionSessionTest, CreateValidatesDimensions) {

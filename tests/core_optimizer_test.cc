@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/optimizer.h"
+#include "data/observation_store.h"
 #include "test_util.h"
 #include "util/math.h"
 
@@ -18,7 +19,7 @@ TEST(EmUnitsTest, MatchesExample8ByHand) {
     SLIMFAST_CHECK_OK(builder.AddObservation(0, s, s < 6 ? 0 : 1));
   }
   Dataset d = std::move(builder).Build().ValueOrDie();
-  double units = EmUnits(d, 0.7);
+  double units = EmUnits(ObservationStore::FromDataset(d), 0.7);
   EXPECT_NEAR(units, 3.89, 0.02);
 }
 
@@ -29,35 +30,39 @@ TEST(EmUnitsTest, SkipsLowConfidenceObjects) {
     SLIMFAST_CHECK_OK(builder.AddObservation(0, s, s < 5 ? 0 : 1));
   }
   Dataset d = std::move(builder).Build().ValueOrDie();
-  EXPECT_DOUBLE_EQ(EmUnits(d, 0.5), 0.0);
+  EXPECT_DOUBLE_EQ(EmUnits(ObservationStore::FromDataset(d), 0.5), 0.0);
 }
 
 TEST(EmUnitsTest, HigherAccuracyGivesMoreUnits) {
   Dataset d = testutil::MakePlantedDataset(std::vector<double>(10, 0.7),
                                            100, 1.0, 5);
-  EXPECT_GT(EmUnits(d, 0.9), EmUnits(d, 0.65));
+  EXPECT_GT(EmUnits(ObservationStore::FromDataset(d), 0.9),
+            EmUnits(ObservationStore::FromDataset(d), 0.65));
 }
 
 TEST(EmUnitsTest, DenserInstanceGivesMoreUnits) {
   std::vector<double> accuracies(50, 0.7);
   Dataset sparse = testutil::MakePlantedDataset(accuracies, 200, 0.1, 5);
   Dataset dense = testutil::MakePlantedDataset(accuracies, 200, 0.6, 5);
-  EXPECT_GT(EmUnits(dense, 0.7), EmUnits(sparse, 0.7));
+  EXPECT_GT(EmUnits(ObservationStore::FromDataset(dense), 0.7),
+            EmUnits(ObservationStore::FromDataset(sparse), 0.7));
 }
 
 TEST(ErmUnitsTest, CountsLabeledObservations) {
   Dataset d = testutil::MakeFigure1Dataset();
   auto split = testutil::MakePrefixSplit(d, 1);
-  EXPECT_DOUBLE_EQ(ErmUnits(d, split), 3.0);  // object 0 has 3 claims
+  // Object 0 has 3 claims.
+  EXPECT_DOUBLE_EQ(ErmUnits(ObservationStore::FromDataset(d), split), 3.0);
   auto split2 = testutil::MakePrefixSplit(d, 2);
-  EXPECT_DOUBLE_EQ(ErmUnits(d, split2), 5.0);
+  EXPECT_DOUBLE_EQ(ErmUnits(ObservationStore::FromDataset(d), split2), 5.0);
 }
 
 TEST(OptimizerTest, NoGroundTruthForcesEm) {
   Dataset d = testutil::MakePlantedDataset(std::vector<double>(10, 0.8),
                                            100, 1.0, 7);
   auto split = testutil::MakePrefixSplit(d, 0);
-  auto decision = DecideAlgorithm(d, split, 10, OptimizerOptions{});
+  auto decision = DecideAlgorithm(ObservationStore::FromDataset(d), split, 10,
+                                  OptimizerOptions{});
   EXPECT_EQ(decision.algorithm, Algorithm::kEm);
   EXPECT_GT(decision.em_units, 0.0);
 }
@@ -67,7 +72,8 @@ TEST(OptimizerTest, NoObservationsForcesErm) {
   SLIMFAST_CHECK_OK(builder.SetTruth(0, 0));
   Dataset d = std::move(builder).Build().ValueOrDie();
   TrainTestSplit split = testutil::MakePrefixSplit(d, 1);
-  auto decision = DecideAlgorithm(d, split, 2, OptimizerOptions{});
+  auto decision = DecideAlgorithm(ObservationStore::FromDataset(d), split, 2,
+                                  OptimizerOptions{});
   EXPECT_EQ(decision.algorithm, Algorithm::kErm);
 }
 
@@ -79,7 +85,8 @@ TEST(OptimizerTest, BoundFastPathTriggersWithManyLabels) {
   auto split = testutil::MakePrefixSplit(d, 1999);
   OptimizerOptions options;
   options.tau = 10.0;  // generous threshold
-  auto decision = DecideAlgorithm(d, split, 5, options);
+  auto decision = DecideAlgorithm(ObservationStore::FromDataset(d), split, 5,
+                                  options);
   EXPECT_EQ(decision.algorithm, Algorithm::kErm);
   EXPECT_TRUE(decision.bound_fast_path);
   EXPECT_LT(decision.erm_bound, options.tau);
@@ -90,7 +97,8 @@ TEST(OptimizerTest, DenseAccurateInstancePrefersEmOverFewLabels) {
   Dataset d = testutil::MakePlantedDataset(std::vector<double>(30, 0.85),
                                            500, 0.8, 13);
   auto split = testutil::MakePrefixSplit(d, 1);
-  auto decision = DecideAlgorithm(d, split, 30, OptimizerOptions{});
+  auto decision = DecideAlgorithm(ObservationStore::FromDataset(d), split, 30,
+                                  OptimizerOptions{});
   EXPECT_EQ(decision.algorithm, Algorithm::kEm);
   EXPECT_GT(decision.em_units, decision.erm_units);
   EXPECT_GT(decision.estimated_avg_accuracy, 0.7);
@@ -105,7 +113,8 @@ TEST(OptimizerTest, AdversarialInstancePrefersErm) {
   // estimated accuracy hovers at 0.5, so p_e barely clears 0.5); even a
   // modest amount of ground truth outweighs it.
   auto split = testutil::MakePrefixSplit(d, 20);
-  auto decision = DecideAlgorithm(d, split, 30, OptimizerOptions{});
+  auto decision = DecideAlgorithm(ObservationStore::FromDataset(d), split, 30,
+                                  OptimizerOptions{});
   EXPECT_EQ(decision.algorithm, Algorithm::kErm);
   EXPECT_NEAR(decision.estimated_avg_accuracy, 0.5, 0.05);
 }
@@ -118,8 +127,10 @@ TEST(OptimizerTest, MoreLabelsEventuallySwitchToErm) {
   OptimizerOptions options;
   auto tiny = testutil::MakePrefixSplit(d, 1);
   auto lots = testutil::MakePrefixSplit(d, 790);
-  auto decision_tiny = DecideAlgorithm(d, tiny, 20, options);
-  auto decision_lots = DecideAlgorithm(d, lots, 20, options);
+  auto decision_tiny = DecideAlgorithm(ObservationStore::FromDataset(d), tiny,
+                                       20, options);
+  auto decision_lots = DecideAlgorithm(ObservationStore::FromDataset(d), lots,
+                                       20, options);
   EXPECT_EQ(decision_tiny.algorithm, Algorithm::kEm);
   EXPECT_EQ(decision_lots.algorithm, Algorithm::kErm);
 }
@@ -128,7 +139,8 @@ TEST(OptimizerTest, DecisionStringMentionsChoice) {
   Dataset d = testutil::MakePlantedDataset(std::vector<double>(10, 0.8),
                                            100, 1.0, 21);
   auto split = testutil::MakePrefixSplit(d, 10);
-  auto decision = DecideAlgorithm(d, split, 10, OptimizerOptions{});
+  auto decision = DecideAlgorithm(ObservationStore::FromDataset(d), split, 10,
+                                  OptimizerOptions{});
   std::string s = decision.ToString();
   EXPECT_TRUE(s.find("decision=") != std::string::npos);
   EXPECT_TRUE(s.find("erm_units=") != std::string::npos);
@@ -146,7 +158,8 @@ TEST_P(TauSweep, DecisionIsAlwaysValid) {
   auto split = testutil::MakePrefixSplit(d, 30);
   OptimizerOptions options;
   options.tau = GetParam();
-  auto decision = DecideAlgorithm(d, split, 15, options);
+  auto decision = DecideAlgorithm(ObservationStore::FromDataset(d), split, 15,
+                                  options);
   EXPECT_TRUE(decision.algorithm == Algorithm::kErm ||
               decision.algorithm == Algorithm::kEm);
   EXPECT_GE(decision.erm_units, 0.0);

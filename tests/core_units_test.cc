@@ -8,6 +8,7 @@
 #include "core/erm.h"
 #include "core/model.h"
 #include "core/optimizer.h"
+#include "data/observation_store.h"
 #include "opt/matrix_completion.h"
 #include "test_util.h"
 #include "util/math.h"
@@ -21,7 +22,8 @@ TEST(AccuracyForUnitsTest, RecoversPlantedBinaryAccuracy) {
   // Binary, uniform accuracy 0.75: q = A² + (1-A)² = 0.625.
   Dataset d = testutil::MakePlantedDataset(std::vector<double>(25, 0.75),
                                            800, 0.8, 901);
-  EXPECT_NEAR(EstimateAccuracyForUnits(d), 0.75, 0.03);
+  EXPECT_NEAR(EstimateAccuracyForUnits(ObservationStore::FromDataset(d)), 0.75,
+              0.03);
 }
 
 TEST(AccuracyForUnitsTest, RecoversPlantedMulticlassAccuracy) {
@@ -30,13 +32,15 @@ TEST(AccuracyForUnitsTest, RecoversPlantedMulticlassAccuracy) {
   Dataset d = testutil::MakePlantedDataset(std::vector<double>(25, 0.6),
                                            800, 0.8, 903,
                                            /*num_values=*/4);
-  EXPECT_NEAR(EstimateAccuracyForUnits(d), 0.6, 0.05);
+  EXPECT_NEAR(EstimateAccuracyForUnits(ObservationStore::FromDataset(d)), 0.6,
+              0.05);
 }
 
 TEST(AccuracyForUnitsTest, CoinFlipSourcesDegradeToHalf) {
   Dataset d = testutil::MakePlantedDataset(std::vector<double>(25, 0.5),
                                            600, 0.8, 905);
-  EXPECT_NEAR(EstimateAccuracyForUnits(d), 0.5, 0.04);
+  EXPECT_NEAR(EstimateAccuracyForUnits(ObservationStore::FromDataset(d)), 0.5,
+              0.04);
 }
 
 TEST(AccuracyForUnitsTest, AdversarialSourcesDegradeToHalf) {
@@ -46,7 +50,8 @@ TEST(AccuracyForUnitsTest, AdversarialSourcesDegradeToHalf) {
   Dataset d = testutil::MakePlantedDataset(std::vector<double>(25, 0.2),
                                            600, 0.8, 907,
                                            /*num_values=*/3);
-  EXPECT_NEAR(EstimateAccuracyForUnits(d), 0.5, 0.05);
+  EXPECT_NEAR(EstimateAccuracyForUnits(ObservationStore::FromDataset(d)), 0.5,
+              0.05);
 }
 
 TEST(AccuracyForUnitsTest, NoOverlapReturnsHalf) {
@@ -55,7 +60,8 @@ TEST(AccuracyForUnitsTest, NoOverlapReturnsHalf) {
   SLIMFAST_CHECK_OK(builder.AddObservation(1, 1, 0));
   SLIMFAST_CHECK_OK(builder.AddObservation(2, 2, 0));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  EXPECT_DOUBLE_EQ(EstimateAccuracyForUnits(d), 0.5);
+  EXPECT_DOUBLE_EQ(EstimateAccuracyForUnits(ObservationStore::FromDataset(d)),
+                   0.5);
 }
 
 // ---------- AgreementMatrix weighted accessors ----------
@@ -69,7 +75,7 @@ TEST(AgreementMatrixTest, TotalsTrackCoObservations) {
     }
   }
   Dataset d = std::move(builder).Build().ValueOrDie();
-  AgreementMatrix m(d);
+  AgreementMatrix m(ObservationStore::FromDataset(d));
   EXPECT_EQ(m.TotalOverlap(), 12);
   EXPECT_DOUBLE_EQ(m.TotalAgreementScore(), 12.0);
   EXPECT_DOUBLE_EQ(m.MeanAgreementRate(), 1.0);
@@ -83,7 +89,7 @@ TEST(AgreementMatrixTest, MeanAgreementRateMixes) {
   SLIMFAST_CHECK_OK(builder.AddObservation(1, 0, 0));
   SLIMFAST_CHECK_OK(builder.AddObservation(1, 1, 1));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  AgreementMatrix m(d);
+  AgreementMatrix m(ObservationStore::FromDataset(d));
   EXPECT_EQ(m.TotalOverlap(), 2);
   EXPECT_DOUBLE_EQ(m.MeanAgreementRate(), 0.5);
 }
@@ -91,7 +97,7 @@ TEST(AgreementMatrixTest, MeanAgreementRateMixes) {
 TEST(AgreementMatrixTest, EmptyMatrixRateIsHalf) {
   DatasetBuilder builder("empty", 2, 1, 2);
   Dataset d = std::move(builder).Build().ValueOrDie();
-  AgreementMatrix m(d);
+  AgreementMatrix m(ObservationStore::FromDataset(d));
   EXPECT_DOUBLE_EQ(m.MeanAgreementRate(), 0.5);
 }
 
@@ -104,7 +110,7 @@ TEST(Rank1OptionsTest, RidgeShrinksSparseEvidence) {
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 0, 0));
   SLIMFAST_CHECK_OK(builder.AddObservation(0, 1, 0));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  AgreementMatrix m(d);
+  AgreementMatrix m(ObservationStore::FromDataset(d));
 
   Rank1CompletionOptions ridged;
   ridged.ridge = 30.0;
@@ -129,7 +135,7 @@ TEST(Rank1OptionsTest, OverlapWeightingPrefersReliableEntries) {
   SLIMFAST_CHECK_OK(builder.AddObservation(50, 0, 0));
   SLIMFAST_CHECK_OK(builder.AddObservation(50, 2, 1));
   Dataset d = std::move(builder).Build().ValueOrDie();
-  AgreementMatrix m(d);
+  AgreementMatrix m(ObservationStore::FromDataset(d));
   Rank1CompletionOptions options;
   options.ridge = 1.0;
   auto acc = EstimatePerSourceAccuracy(m, options).ValueOrDie();
@@ -212,7 +218,8 @@ TEST(OptimizerGuardsTest, SparsePairwiseEvidenceZeroesEmUnits) {
   auto split = testutil::MakePrefixSplit(d, 10);
   OptimizerOptions options;
   options.min_coobservations = 20.0;
-  auto decision = DecideAlgorithm(d, split, 200, options);
+  auto decision = DecideAlgorithm(ObservationStore::FromDataset(d), split, 200,
+                                  options);
   EXPECT_DOUBLE_EQ(decision.em_units, 0.0);
   EXPECT_EQ(decision.algorithm, Algorithm::kErm);
 }
@@ -223,7 +230,8 @@ TEST(OptimizerGuardsTest, MarginRuleZeroesEmUnitsNearChance) {
   auto split = testutil::MakePrefixSplit(d, 5);
   OptimizerOptions options;
   options.min_accuracy_margin = 0.03;
-  auto decision = DecideAlgorithm(d, split, 30, options);
+  auto decision = DecideAlgorithm(ObservationStore::FromDataset(d), split, 30,
+                                  options);
   EXPECT_DOUBLE_EQ(decision.em_units, 0.0);
   EXPECT_EQ(decision.algorithm, Algorithm::kErm);
 }
@@ -232,7 +240,8 @@ TEST(OptimizerGuardsTest, MarginRuleAllowsInformativeInstances) {
   Dataset d = testutil::MakePlantedDataset(std::vector<double>(30, 0.8),
                                            400, 0.9, 913);
   auto split = testutil::MakePrefixSplit(d, 1);
-  auto decision = DecideAlgorithm(d, split, 30, OptimizerOptions{});
+  auto decision = DecideAlgorithm(ObservationStore::FromDataset(d), split, 30,
+                                  OptimizerOptions{});
   EXPECT_GT(decision.em_units, 0.0);
   EXPECT_EQ(decision.algorithm, Algorithm::kEm);
 }

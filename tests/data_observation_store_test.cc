@@ -144,7 +144,7 @@ TEST(ObservationStoreAppendTest, FingerprintTracksContent) {
   EXPECT_NE(grown.content_fingerprint(), grown_other.content_fingerprint());
 }
 
-TEST(ObservationStoreAppendTest, ReportsTouchedObjects) {
+TEST(ObservationStoreAppendTest, GrowsTheClaimedObjectOnly) {
   Dataset dataset = MakeFigure1Dataset();
   ObservationStore store = ObservationStore::FromDataset(dataset);
 
@@ -153,12 +153,14 @@ TEST(ObservationStoreAppendTest, ReportsTouchedObjects) {
   ObservationBatch batch;
   batch.observations.push_back(Observation{1, 1, 0});
   batch.truths.push_back(TruthLabel{0, 0});  // re-assert: no-op
-  std::vector<ObjectId> touched;
-  ObservationStore grown = store.AppendBatch(batch, &touched).ValueOrDie();
-  EXPECT_EQ(touched, (std::vector<ObjectId>{1}));
+  ObservationStore grown = store.AppendBatch(batch).ValueOrDie();
   // Object 1's domain grew from {1} to {0, 1}.
   EXPECT_EQ(grown.DomainRange(1).size(), 2);
   EXPECT_EQ(grown.ObjectRange(1).size(), 3);
+  // Object 0 and the re-asserted truth are unchanged.
+  EXPECT_EQ(grown.ObjectRange(0).size(), store.ObjectRange(0).size());
+  EXPECT_EQ(grown.DomainRange(0).size(), store.DomainRange(0).size());
+  EXPECT_EQ(grown.truth(), store.truth());
 }
 
 TEST(ObservationStoreAppendTest, ValidatesBatch) {

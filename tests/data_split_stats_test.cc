@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/observation_store.h"
 #include "data/split.h"
 #include "data/stats.h"
 
@@ -110,7 +111,7 @@ TEST(SplitTest, CountLabeledObservations) {
   Dataset d = MakeLabeledDataset(10, 4);
   Rng rng(12);
   auto split = MakeSplit(d, 0.3, &rng).ValueOrDie();
-  EXPECT_EQ(CountLabeledObservations(d, split),
+  EXPECT_EQ(CountLabeledObservations(ObservationStore::FromDataset(d), split),
             static_cast<int64_t>(split.train_objects.size()) * 4);
 }
 

@@ -1080,14 +1080,13 @@ int RunBench(const CliOptions& options) {
   SlimFast relearner(relearn_options, "bench-relearner");
   SlimFastFit cold_fit =
       relearner
-          .FitCompiled(dataset, split, options.seed, instance, nullptr,
-                       &parallel)
+          .FitCompiled(split, options.seed, instance, nullptr, &parallel)
           .ValueOrDie();
   std::vector<double> warm_weights = cold_fit.model.weights();
   SlimFastFit warm_fit =
       relearner
-          .FitCompiled(dataset, split, options.seed, instance,
-                       &warm_weights, &parallel)
+          .FitCompiled(split, options.seed, instance, &warm_weights,
+                       &parallel)
           .ValueOrDie();
   if (!warm_fit.warm_started) {
     std::fprintf(stderr, "bench: warm fit did not warm-start\n");

@@ -17,6 +17,7 @@
 #include "serve/fusion_service.h"
 #include "serve/line_protocol.h"
 #include "serve/loadgen.h"
+#include "synth/synthetic.h"
 #include "test_util.h"
 
 namespace slimfast {
@@ -248,6 +249,139 @@ TEST(LineProtocolTest, QueryOutsideUniverseIsNone) {
   LineProtocol protocol(service.get());
   EXPECT_EQ(protocol.HandleLine("QUERY 999"), "NONE");
   EXPECT_EQ(protocol.HandleLine("POSTERIOR 999"), "NONE");
+  service->Stop();
+}
+
+constexpr char kUnknownSuffix[] =
+    "' (OBS TRUTH COMMIT QUERY POSTERIOR STATS METRICS HEALTH HISTORY "
+    "EVENTS SLOW SCHED CHECKPOINT DRAIN QUIT)";
+
+// Pins how a line splits into tokens: on exactly the six C-locale
+// whitespace bytes (space, \t, \n, \v, \f, \r), so tabs, runs of blanks
+// and a CRLF client's trailing \r all parse; any other byte, NUL
+// included, belongs to its token.
+TEST(LineProtocolTest, TokenizerEdgeCasesArePinned) {
+  std::unique_ptr<FusionService> service = MakeFigure1Service();
+  LineProtocol protocol(service.get());
+  ASSERT_EQ(protocol.HandleLine("OBS 1 0 1"), "OK");
+  ASSERT_EQ(protocol.HandleLine("OBS 1 2 1"), "OK");
+  ASSERT_EQ(protocol.HandleLine("TRUTH 1 1"), "OK");
+  ASSERT_EQ(protocol.HandleLine("COMMIT"), "OK 2 1");
+  ASSERT_EQ(protocol.HandleLine("DRAIN"), "OK");
+  const std::string query = protocol.HandleLine("QUERY 1");
+  const std::string posterior = protocol.HandleLine("POSTERIOR 1");
+  ASSERT_EQ(query.rfind("VALUE 1 ", 0), 0u) << query;
+  ASSERT_EQ(posterior.rfind("POSTERIOR ", 0), 0u) << posterior;
+
+  for (const char* line :
+       {"QUERY\t1", "QUERY   1", "  QUERY 1  ", "QUERY 1\r", "\tQUERY\t\t1\r",
+        "\v\fQUERY\n1", "QUERY 01", "QUERY 0000000001"}) {
+    EXPECT_EQ(protocol.HandleLine(line), query) << line;
+  }
+  EXPECT_EQ(protocol.HandleLine("POSTERIOR 1\r"), posterior);
+  EXPECT_EQ(protocol.HandleLine(" POSTERIOR\t 1 "), posterior);
+
+  for (const char* line : {"", " ", "\t", "\r", " \t\n\v\f\r"}) {
+    EXPECT_EQ(protocol.HandleLine(line), "ERR empty command") << line;
+  }
+
+  // NUL is not whitespace: it stays inside its token.
+  EXPECT_EQ(protocol.HandleLine(std::string("QUERY 1\0", 8)),
+            "ERR usage: QUERY <object>");
+  EXPECT_EQ(protocol.HandleLine(std::string("QU\0ERY 1", 8)),
+            std::string("ERR unknown command 'QU\0ERY", 27) + kUnknownSuffix);
+  EXPECT_EQ(protocol.HandleLine("query 1"),
+            std::string("ERR unknown command 'query") + kUnknownSuffix);
+  // \a is not one of the six.
+  EXPECT_EQ(protocol.HandleLine("QUERY\a1"),
+            std::string("ERR unknown command 'QUERY\a1") + kUnknownSuffix);
+
+  // Argument counts: extra arguments are an error, except after QUIT.
+  EXPECT_EQ(protocol.HandleLine("QUERY 1 2"), "ERR usage: QUERY <object>");
+  EXPECT_EQ(protocol.HandleLine("QUERY\r"), "ERR usage: QUERY <object>");
+  EXPECT_EQ(protocol.HandleLine("POSTERIOR"), "ERR usage: POSTERIOR <object>");
+  EXPECT_EQ(protocol.HandleLine("COMMIT now"), "ERR usage: COMMIT");
+  EXPECT_EQ(protocol.HandleLine("DRAIN x"), "ERR usage: DRAIN");
+  EXPECT_EQ(protocol.HandleLine("OBS 0 0 0 0"),
+            "ERR usage: OBS <object> <source> <value>");
+  EXPECT_EQ(protocol.HandleLine("TRUTH 0"),
+            "ERR usage: TRUTH <object> <value>");
+
+  // Ids: 31-bit non-negative decimal, nothing else.
+  EXPECT_EQ(protocol.HandleLine("QUERY 2147483647"), "NONE");
+  EXPECT_EQ(protocol.HandleLine("QUERY 2147483648"),
+            "ERR usage: QUERY <object>");
+  EXPECT_EQ(protocol.HandleLine("QUERY 99999999999999999999"),
+            "ERR usage: QUERY <object>");
+  EXPECT_EQ(protocol.HandleLine("OBS 0 0 2147483648"),
+            "ERR usage: OBS <object> <source> <value>");
+  EXPECT_EQ(protocol.HandleLine("OBS 2147483647 0 0"),
+            "ERR id outside the service universe");
+  for (const char* line : {"QUERY +1", "QUERY 1x", "QUERY 0x1", "QUERY 1.0"}) {
+    EXPECT_EQ(protocol.HandleLine(line), "ERR usage: QUERY <object>") << line;
+  }
+
+  // Verbs without arguments keep parsing with a trailing \r.
+  EXPECT_EQ(protocol.HandleLine("STATS\r").rfind("STATS shards=2 ", 0), 0u);
+  EXPECT_EQ(protocol.HandleLine("COMMIT\r"), "OK 0 0");
+  EXPECT_EQ(protocol.HandleLine("DRAIN\r\r"), "OK");
+  EXPECT_EQ(protocol.buffered(), 0);
+
+  bool quit = false;
+  EXPECT_EQ(protocol.HandleLine("QUIT now", &quit), "BYE");
+  EXPECT_TRUE(quit);
+  quit = false;
+  EXPECT_EQ(protocol.HandleLine("QUIT\r", &quit), "BYE");
+  EXPECT_TRUE(quit);
+  service->Stop();
+}
+
+// A golden digest of every QUERY and POSTERIOR reply of a preloaded
+// synthetic service, ids one past the universe included. An in-process
+// oracle runs this same protocol, so it cannot see a change to reply
+// formatting; this pinned value can. A change that keeps every reply
+// byte keeps it.
+TEST(LineProtocolTest, GoldenQueryAndPosteriorRepliesDigest) {
+  SyntheticConfig config;
+  config.num_sources = 30;
+  config.num_objects = 300;
+  config.num_values = 4;
+  config.density = 0.15;
+  config.num_feature_groups = 2;
+  config.values_per_group = 3;
+  config.feature_effect = 0.3;
+  const Dataset dataset = GenerateSynthetic(config, 17).ValueOrDie().dataset;
+  FusionServiceOptions options;
+  options.num_shards = 2;
+  options.relearn_every_batches = 1;
+  std::unique_ptr<FusionService> service =
+      FusionService::Create(dataset.num_sources(), dataset.num_objects(),
+                            dataset.num_values(), options, dataset.features())
+          .ValueOrDie();
+  ObservationBatch batch = ChunkDatasetForReplay(dataset, 1)[0];
+  // Label a quarter of the objects so the rest are genuinely inferred.
+  std::erase_if(batch.truths,
+                [](const TruthLabel& t) { return t.object % 4 != 0; });
+  ASSERT_TRUE(service->Submit(std::move(batch)).ok());
+  ASSERT_TRUE(service->Drain().ok());
+  LineProtocol protocol(service.get());
+
+  uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a 64
+  auto fold = [&digest](const std::string& reply) {
+    for (const char c : reply + "\n") {
+      digest = (digest ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+    }
+  };
+  int32_t values = 0;
+  for (int32_t o = 0; o <= dataset.num_objects(); ++o) {
+    const std::string query = protocol.HandleLine("QUERY " + std::to_string(o));
+    if (query.rfind("VALUE ", 0) == 0) ++values;
+    fold(query);
+    fold(protocol.HandleLine("POSTERIOR " + std::to_string(o)));
+  }
+  EXPECT_GT(values, dataset.num_objects() / 2);
+  EXPECT_EQ(protocol.HandleLine("QUERY 300"), "NONE");
+  EXPECT_EQ(digest, 0xb6ebf3cc229564ecULL);
   service->Stop();
 }
 

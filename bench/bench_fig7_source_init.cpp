@@ -56,7 +56,8 @@ double UnseenSourceError(const Dataset& full, int32_t keep, uint64_t seed) {
   // cold-start predictor needs calibrated feature weights.
   SlimFastOptions options;
   options.erm.loss = ErmLoss::kAccuracyLogLoss;
-  auto fit = MakeSlimFastErm(options)->Fit(restricted, split, seed).ValueOrDie();
+  auto fit =
+      MakeSlimFastErm(options)->Fit(restricted, split, seed).ValueOrDie();
   auto predictor =
       SourceQualityPredictor::FromModel(fit.model).ValueOrDie();
 

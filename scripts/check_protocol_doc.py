@@ -13,8 +13,8 @@ Extraction is deliberately dumb and format-anchored:
   - doc side: rows of the markdown table whose first cell is an
     all-caps token (`| OBS | ... |`),
   - code side: the `command == "VERB"` comparisons of
-    LineProtocol::HandleLineInner, plus QUIT-style verbs matched the
-    same way.
+    LineProtocol::Execute and LineProtocol::Reply, plus QUIT-style
+    verbs matched the same way.
 If either anchor pattern stops matching anything, that is itself an
 error — the checker refuses to pass vacuously.
 

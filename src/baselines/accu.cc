@@ -98,8 +98,8 @@ Result<FusionOutput> Accu::Run(const Dataset& dataset,
       }
       double updated = Clamp(sum / static_cast<double>(claims.size()),
                              options_.clamp_eps, 1.0 - options_.clamp_eps);
-      max_delta =
-          std::max(max_delta, std::fabs(updated - accuracy[static_cast<size_t>(s)]));
+      max_delta = std::max(
+          max_delta, std::fabs(updated - accuracy[static_cast<size_t>(s)]));
       accuracy[static_cast<size_t>(s)] = updated;
     }
     if (max_delta < options_.tolerance) break;

@@ -293,7 +293,8 @@ Result<FitStats> FitObjectLossBatch(
           // onto the copy weights firing on di.
           for (int64_t i = range.begin; i < range.end; ++i) {
             const ObjectId o = used[static_cast<size_t>(i)];
-            const double* p = probs.data() + packed_begin[static_cast<size_t>(i)];
+            const double* p =
+                probs.data() + packed_begin[static_cast<size_t>(i)];
             const double* tm =
                 target_mass.data() + packed_begin[static_cast<size_t>(i)];
             const double rw = row_weight[static_cast<size_t>(i)];
@@ -393,7 +394,8 @@ Result<FitStats> FitAccuracyLossSgd(
     double loss_sum = 0.0;
     for (size_t idx : order) {
       const ObservationExample& ex = examples[static_cast<size_t>(idx)];
-      const int64_t begin = compiled.sigma_begin[static_cast<size_t>(ex.source)];
+      const int64_t begin =
+          compiled.sigma_begin[static_cast<size_t>(ex.source)];
       const int64_t end =
           compiled.sigma_begin[static_cast<size_t>(ex.source) + 1];
       double sigma = 0.0;
@@ -465,12 +467,12 @@ Result<FitStats> ErmLearner::FitAccuracyLoss(
 }
 
 /// The one full-batch accuracy log-loss loop: per epoch, trust scores via
-/// TermProducts + FoldRanges over the compiled model's σ CSR, sigmoid and softplus per source, a gradient scatter
-/// onto the compact set of touched parameters, and a fused AdaGradProx
-/// update. The per-source loss uses the clamp-free algebraic form of
-/// binary cross-entropy, -y·log a - (1-y)·log(1-a) = log(1+exp(-σ)) +
-/// (1-y)·σ. Serial by design: each epoch reads the previous epoch's
-/// weights.
+/// TermProducts + FoldRanges over the compiled model's σ CSR, sigmoid and
+/// softplus per source, a gradient scatter onto the compact set of
+/// touched parameters, and a fused AdaGradProx update. The per-source
+/// loss uses the clamp-free algebraic form of binary cross-entropy,
+/// -y·log a - (1-y)·log(1-a) = log(1+exp(-σ)) + (1-y)·σ. Serial by
+/// design: each epoch reads the previous epoch's weights.
 Result<FitStats> ErmLearner::FitSourceStats(const SourceStats& source_stats,
                                             SlimFastModel* model) const {
   const ErmOptions& options = options_;

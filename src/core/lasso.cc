@@ -18,10 +18,11 @@ std::vector<FeatureId> LassoPath::ImportanceOrder() const {
        ++k) {
     if (activation_index[static_cast<size_t>(k)] >= 0) order.push_back(k);
   }
-  std::stable_sort(order.begin(), order.end(), [this](FeatureId a, FeatureId b) {
-    return activation_index[static_cast<size_t>(a)] <
-           activation_index[static_cast<size_t>(b)];
-  });
+  std::stable_sort(order.begin(), order.end(),
+                   [this](FeatureId a, FeatureId b) {
+                     return activation_index[static_cast<size_t>(a)] <
+                            activation_index[static_cast<size_t>(b)];
+                   });
   return order;
 }
 
@@ -98,7 +99,8 @@ Result<LassoPath> ComputeLassoPath(const Dataset& dataset,
     point.feature_weights.resize(
         static_cast<size_t>(layout.num_feature_params));
     for (int32_t k = 0; k < layout.num_feature_params; ++k) {
-      double w = model.weights()[static_cast<size_t>(layout.feature_offset + k)];
+      double w =
+          model.weights()[static_cast<size_t>(layout.feature_offset + k)];
       point.feature_weights[static_cast<size_t>(k)] = w;
       if (w != 0.0) {
         ++point.num_nonzero;

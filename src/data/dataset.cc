@@ -82,8 +82,8 @@ Status DatasetBuilder::AddObservation(ObjectId object, SourceId source,
     return Status::OutOfRange("value id " + std::to_string(value) +
                               " out of range");
   }
-  int64_t key =
-      static_cast<int64_t>(object) * num_sources_ + static_cast<int64_t>(source);
+  int64_t key = static_cast<int64_t>(object) * num_sources_ +
+                static_cast<int64_t>(source);
   if (!InsertPair(key)) {
     return Status::AlreadyExists(
         "duplicate observation for object " + std::to_string(object) +

@@ -39,8 +39,8 @@ int64_t SlowLog::ThresholdNanos() const {
                                        static_cast<double>(ewma)));
 }
 
-bool SlowLog::Offer(const std::string& kind, int64_t duration_ns,
-                    int32_t shard, const std::string& detail) {
+bool SlowLog::Offer(std::string_view kind, int64_t duration_ns,
+                    int32_t shard, std::string_view detail) {
   const int64_t threshold = ThresholdNanos();
   // EWMA with alpha = 1/8: old * 7/8 + new * 1/8. A racing update can
   // lose a sample — fine for a smoothing statistic.

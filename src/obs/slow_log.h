@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace slimfast {
@@ -46,8 +47,8 @@ class SlowLog {
   /// Offers one measured operation: updates the adaptive threshold and
   /// captures an exemplar when the duration clears it. Returns whether
   /// the operation was captured.
-  bool Offer(const std::string& kind, int64_t duration_ns, int32_t shard,
-             const std::string& detail);
+  bool Offer(std::string_view kind, int64_t duration_ns, int32_t shard,
+             std::string_view detail);
 
   /// The current capture threshold in nanoseconds.
   int64_t ThresholdNanos() const;

@@ -12,8 +12,8 @@ namespace slimfast {
 /// A differentiable objective f: R^d -> R evaluated with its dense gradient.
 /// The callback writes the gradient into `grad` (pre-sized to d) and
 /// returns the objective value.
-using ValueAndGradientFn =
-    std::function<double(const std::vector<double>& w, std::vector<double>* grad)>;
+using ValueAndGradientFn = std::function<double(
+    const std::vector<double>& w, std::vector<double>* grad)>;
 
 /// Options for the batch (full-gradient) descent driver.
 struct GradientDescentOptions {

@@ -75,8 +75,9 @@ Result<double> EstimateAverageAccuracy(const AgreementMatrix& matrix) {
   }
   // µ̂² = mean observed agreement; negative empirical means (worse than
   // random agreement) clamp to 0, i.e. A = 0.5.
-  double mean_agreement = matrix.SumAgreements() /
-                          (2.0 * static_cast<double>(matrix.NumObservedPairs()));
+  double mean_agreement =
+      matrix.SumAgreements() /
+      (2.0 * static_cast<double>(matrix.NumObservedPairs()));
   double mu_sq = std::max(0.0, mean_agreement);
   double mu = std::sqrt(mu_sq);
   return (mu + 1.0) / 2.0;
@@ -122,7 +123,8 @@ Result<std::vector<double>> EstimatePerSourceAccuracy(
                        ? static_cast<double>(matrix.OverlapCount(i, j))
                        : 1.0;
         double x = matrix.Agreement(i, j);
-        double err = mu[static_cast<size_t>(i)] * mu[static_cast<size_t>(j)] - x;
+        double err =
+            mu[static_cast<size_t>(i)] * mu[static_cast<size_t>(j)] - x;
         loss += 0.5 * w * err * err;
         grad[static_cast<size_t>(i)] += w * err * mu[static_cast<size_t>(j)];
         grad[static_cast<size_t>(j)] += w * err * mu[static_cast<size_t>(i)];

@@ -1,10 +1,11 @@
 #include "serve/line_protocol.h"
 
+#include <array>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -19,8 +20,23 @@ namespace slimfast {
 
 namespace {
 
+/// The six bytes C-locale isspace accepts: ' ', \t, \n, \v, \f, \r.
+bool IsBlank(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Splits off the token at the front of `*rest` (after any blanks) and
+/// leaves `*rest` just past it; empty when only blanks remain.
+std::string_view NextToken(std::string_view* rest) {
+  size_t begin = 0;
+  while (begin < rest->size() && IsBlank((*rest)[begin])) ++begin;
+  size_t end = begin;
+  while (end < rest->size() && !IsBlank((*rest)[end])) ++end;
+  const std::string_view token = rest->substr(begin, end - begin);
+  rest->remove_prefix(end);
+  return token;
+}
+
 /// Parses a non-negative 32-bit id; false on garbage or trailing junk.
-bool ParseId(const std::string& token, int32_t* out) {
+bool ParseId(std::string_view token, int32_t* out) {
   if (token.empty()) return false;
   int64_t value = 0;
   for (char c : token) {
@@ -32,16 +48,31 @@ bool ParseId(const std::string& token, int32_t* out) {
   return true;
 }
 
+/// Appends `v` with six decimals, byte for byte what printf's "%.6f"
+/// prints (nan, inf and -0.000000 included), without the format parse.
+void AppendDouble(double v, std::string* out) {
+  char buffer[320];  // the widest double: 309 digits, sign, point, 6
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), v,
+                                       std::chars_format::fixed, 6);
+  out->append(buffer, end);
+}
+
 std::string FormatDouble(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.6f", v);
-  return buffer;
+  std::string text;
+  AppendDouble(v, &text);
+  return text;
+}
+
+void AppendInt(int64_t v, std::string* out) {
+  char buffer[24];  // the widest int64_t: 19 digits and a sign
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof(buffer), v);
+  out->append(buffer, end);
 }
 
 /// Per-verb latency histogram, cached per known verb so the hot path
 /// skips the registry mutex. Unknown commands share one "OTHER" series
 /// so a misbehaving client cannot grow the registry without bound.
-obs::LatencyHistogram* VerbHistogram(const std::string& verb) {
+obs::LatencyHistogram* VerbHistogram(std::string_view verb) {
   static const struct {
     const char* verb;
     obs::LatencyHistogram* hist;
@@ -91,12 +122,39 @@ obs::LatencyHistogram* VerbHistogram(const std::string& verb) {
 
 }  // namespace
 
-std::string LineProtocol::HandleLine(const std::string& line, bool* quit) {
-  if (!obs::Enabled()) return HandleLineInner(line, quit);
+/// The arguments after the verb. At most kMax are kept; size() counts
+/// every one, so a usage check still sees extra arguments.
+class LineProtocol::Args {
+ public:
+  explicit Args(std::string_view rest) {
+    for (std::string_view token = NextToken(&rest); !token.empty();
+         token = NextToken(&rest)) {
+      if (count_ < kMax) tokens_[count_] = token;
+      ++count_;
+    }
+  }
+
+  size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+  std::string_view operator[](size_t i) const { return tokens_[i]; }
+
+ private:
+  static constexpr size_t kMax = 3;  // OBS <object> <source> <value>
+  std::array<std::string_view, kMax> tokens_;
+  size_t count_ = 0;
+};
+
+void LineProtocol::HandleLine(std::string_view line, std::string* out,
+                              bool* quit) {
+  std::string_view rest = line;
+  const std::string_view verb = NextToken(&rest);
+  const Args args(rest);
+  if (!obs::Enabled()) {
+    Execute(verb, args, out, quit);
+    return;
+  }
   const auto start = std::chrono::steady_clock::now();
-  std::string reply = HandleLineInner(line, quit);
-  const size_t verb_end = line.find(' ');
-  const std::string verb = line.substr(0, verb_end);
+  Execute(verb, args, out, quit);
   const int64_t elapsed_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
@@ -107,17 +165,64 @@ std::string LineProtocol::HandleLine(const std::string& line, bool* quit) {
     // every query, so only genuine tail outliers are captured.
     obs::SlowLog::Global().Offer(verb, elapsed_ns, /*shard=*/-1, line);
   }
-  return reply;
 }
 
-std::string LineProtocol::HandleLineInner(const std::string& line,
-                                          bool* quit) {
-  std::istringstream in(line);
-  std::string command;
-  in >> command;
-  std::vector<std::string> args;
-  for (std::string token; in >> token;) args.push_back(token);
+bool LineProtocol::MayWait(std::string_view line) {
+  const std::string_view verb = NextToken(&line);
+  return verb == "COMMIT" || verb == "DRAIN" || verb == "CHECKPOINT";
+}
 
+void LineProtocol::Execute(std::string_view command, const Args& args,
+                           std::string* out, bool* quit) {
+  if (command == "QUERY") {
+    int32_t object = 0;
+    if (args.size() != 1 || !ParseId(args[0], &object)) {
+      out->append("ERR usage: QUERY <object>");
+      return;
+    }
+    // One snapshot for both fields: separate Query/QueryConfidence
+    // calls could straddle a publish and pair a prediction with another
+    // model's confidence.
+    const FusionSnapshotPtr snapshot = service_->SnapshotFor(object);
+    const ValueId value =
+        snapshot == nullptr ? kNoValue : snapshot->Prediction(object);
+    if (value == kNoValue) {
+      out->append("NONE");
+      return;
+    }
+    out->append("VALUE ");
+    AppendInt(value, out);
+    out->push_back(' ');
+    AppendDouble(snapshot->Confidence(object), out);
+    return;
+  }
+
+  if (command == "POSTERIOR") {
+    int32_t object = 0;
+    if (args.size() != 1 || !ParseId(args[0], &object)) {
+      out->append("ERR usage: POSTERIOR <object>");
+      return;
+    }
+    if (!service_->QueryPosterior(object, &posterior_values_,
+                                  &posterior_probs_)) {
+      out->append("NONE");
+      return;
+    }
+    out->append("POSTERIOR");
+    for (size_t i = 0; i < posterior_values_.size(); ++i) {
+      out->push_back(' ');
+      AppendInt(posterior_values_[i], out);
+      out->push_back(':');
+      AppendDouble(posterior_probs_[i], out);
+    }
+    return;
+  }
+
+  out->append(Reply(command, args, quit));
+}
+
+std::string LineProtocol::Reply(std::string_view command, const Args& args,
+                                bool* quit) {
   if (command.empty()) return "ERR empty command";
 
   if (command == "OBS") {
@@ -186,38 +291,6 @@ std::string LineProtocol::HandleLineInner(const std::string& line,
            std::to_string(truths);
   }
 
-  if (command == "QUERY") {
-    int32_t object = 0;
-    if (args.size() != 1 || !ParseId(args[0], &object)) {
-      return "ERR usage: QUERY <object>";
-    }
-    // One snapshot for both fields: separate Query/QueryConfidence
-    // calls could straddle a publish and pair a prediction with another
-    // model's confidence.
-    const FusionSnapshotPtr snapshot = service_->SnapshotFor(object);
-    const ValueId value =
-        snapshot == nullptr ? kNoValue : snapshot->Prediction(object);
-    if (value == kNoValue) return "NONE";
-    return "VALUE " + std::to_string(value) + " " +
-           FormatDouble(snapshot->Confidence(object));
-  }
-
-  if (command == "POSTERIOR") {
-    int32_t object = 0;
-    if (args.size() != 1 || !ParseId(args[0], &object)) {
-      return "ERR usage: POSTERIOR <object>";
-    }
-    std::vector<ValueId> values;
-    std::vector<double> probs;
-    if (!service_->QueryPosterior(object, &values, &probs)) return "NONE";
-    std::string reply = "POSTERIOR";
-    for (size_t i = 0; i < values.size(); ++i) {
-      reply += " " + std::to_string(values[i]) + ":" +
-               FormatDouble(probs[i]);
-    }
-    return reply;
-  }
-
   if (command == "METRICS") {
     if (!args.empty()) return "ERR usage: METRICS";
     if (!obs::Enabled()) {
@@ -270,9 +343,10 @@ std::string LineProtocol::HandleLineInner(const std::string& line,
       for (const std::string& name : names) reply += "\n" + name;
       return reply + "\n# EOF";
     }
-    obs::TimeSeries* series = store.Find(args[0]);
+    const std::string name(args[0]);
+    obs::TimeSeries* series = store.Find(name);
     if (series == nullptr) {
-      return "ERR unknown series '" + args[0] +
+      return "ERR unknown series '" + name +
              "' (bare HISTORY lists them)";
     }
     int32_t window_s = 0;
@@ -302,7 +376,7 @@ std::string LineProtocol::HandleLineInner(const std::string& line,
     const std::vector<double> rates =
         counter ? series->Rates(r, max_samples) : std::vector<double>();
     std::string reply =
-        "HISTORY " + args[0] + " kind=" + (counter ? "counter" : "gauge") +
+        "HISTORY " + name + " kind=" + (counter ? "counter" : "gauge") +
         " res=" + std::to_string(series->bucket_nanos(r) / 1'000'000'000) +
         "s samples=" + std::to_string(samples.size());
     for (size_t i = 0; i < samples.size(); ++i) {
@@ -429,7 +503,7 @@ std::string LineProtocol::HandleLineInner(const std::string& line,
     return "BYE";
   }
 
-  return "ERR unknown command '" + command +
+  return "ERR unknown command '" + std::string(command) +
          "' (OBS TRUTH COMMIT QUERY POSTERIOR STATS METRICS HEALTH "
          "HISTORY EVENTS SLOW SCHED CHECKPOINT DRAIN QUIT)";
 }

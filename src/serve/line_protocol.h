@@ -2,6 +2,8 @@
 #define SLIMFAST_SERVE_LINE_PROTOCOL_H_
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "data/observation_store.h"
 #include "serve/fusion_service.h"
@@ -10,8 +12,9 @@ namespace slimfast {
 
 /// The text protocol behind `slimfast_cli serve`: one command per line,
 /// one reply line per command. Decoupled from any transport — the CLI
-/// drives it from stdin, a socket server would drive it per connection,
-/// and the tests drive it directly.
+/// drives it from stdin through ServeStream (serve/line_stream.h), a
+/// socket server would drive it per connection, and the tests drive it
+/// directly.
 ///
 /// Commands (ids are the dense integer ids of the service's universe):
 ///
@@ -55,22 +58,46 @@ class LineProtocol {
   /// Binds the protocol to `service` (borrowed; must outlive this).
   explicit LineProtocol(FusionService* service) : service_(service) {}
 
-  /// Executes one command line and returns the reply (no trailing
-  /// newline; METRICS replies span multiple lines, terminated by a
-  /// "# EOF" line). Sets `*quit` to true on QUIT when `quit` is
-  /// non-null. When observability is enabled the verb's wall time is
-  /// recorded into slimfast_serve_verb_latency_seconds{verb=...}.
-  std::string HandleLine(const std::string& line, bool* quit = nullptr);
+  /// Executes one command line and appends its reply to `*out` (no
+  /// trailing newline; METRICS replies span multiple lines, terminated
+  /// by a "# EOF" line). Tokens are split on the six C-locale
+  /// whitespace bytes, so a CRLF client's trailing carriage return is a
+  /// blank. Sets `*quit` to true on QUIT when `quit` is non-null. When
+  /// observability is enabled the verb's wall time is recorded into
+  /// slimfast_serve_verb_latency_seconds{verb=...}.
+  void HandleLine(std::string_view line, std::string* out, bool* quit);
+
+  /// The reply to one command line, as its own string.
+  std::string HandleLine(std::string_view line, bool* quit = nullptr) {
+    std::string reply;
+    HandleLine(line, &reply, quit);
+    return reply;
+  }
+
+  /// True when `line`'s verb can wait on the ingest pipeline (COMMIT,
+  /// DRAIN, CHECKPOINT): a transport sends every reply it holds before
+  /// handling such a line.
+  static bool MayWait(std::string_view line);
 
   /// Observations + truths buffered toward the next COMMIT.
   int64_t buffered() const { return pending_.size(); }
 
  private:
-  /// HandleLine minus the verb-latency envelope.
-  std::string HandleLineInner(const std::string& line, bool* quit);
+  class Args;
+
+  /// HandleLine minus the tokenizer and the verb-latency envelope. The
+  /// read verbs (QUERY, POSTERIOR) format straight into `*out`; the
+  /// others go through Reply.
+  void Execute(std::string_view command, const Args& args, std::string* out,
+               bool* quit);
+  /// The reply of every verb other than QUERY and POSTERIOR.
+  std::string Reply(std::string_view command, const Args& args, bool* quit);
 
   FusionService* service_;
   ObservationBatch pending_;
+  /// POSTERIOR's scratch, reused across lines.
+  std::vector<ValueId> posterior_values_;
+  std::vector<double> posterior_probs_;
 };
 
 }  // namespace slimfast

@@ -32,8 +32,8 @@ double LogSumExp(const std::vector<double>& xs) {
   const int64_t n = static_cast<int64_t>(xs.size());
   const double max_x = simd::MaxVal(xs.data(), n);
   if (!std::isfinite(max_x)) return max_x;
-  const double sum =
-      simd::LaneStableSum(n, [&](int64_t i) { return simd::ExpElem(xs[i] - max_x); });
+  const double sum = simd::LaneStableSum(
+      n, [&](int64_t i) { return simd::ExpElem(xs[i] - max_x); });
   return max_x + simd::LogElem(sum);
 }
 

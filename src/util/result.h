@@ -17,7 +17,8 @@ template <typename T>
 class Result {
  public:
   /// Constructs from a value (implicit, so functions can `return value;`).
-  Result(T value) : status_(Status::OK()), value_(std::move(value)) {}  // NOLINT
+  Result(T value)  // NOLINT
+      : status_(Status::OK()), value_(std::move(value)) {}
 
   /// Constructs from an error status (implicit, so functions can
   /// `return Status::InvalidArgument(...);`). Must not be OK.

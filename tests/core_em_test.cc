@@ -311,9 +311,10 @@ double PerExampleBatchFit(const ErmOptions& options,
       const double z = sigma[static_cast<size_t>(ex.source)];
       loss += ex.weight * (std::log1p(std::exp(-z)) + (1.0 - ex.label) * z);
       const double g = ex.weight * (Sigmoid(z) - ex.label);
-      for_each_term(static_cast<size_t>(ex.source), [&](ParamId p, double coeff) {
-        grad[static_cast<size_t>(p)] += g * coeff;
-      });
+      for_each_term(static_cast<size_t>(ex.source),
+                    [&](ParamId p, double coeff) {
+                      grad[static_cast<size_t>(p)] += g * coeff;
+                    });
     }
     const double eta = schedule.At(epoch);
     for (ParamId p : params) {

@@ -39,8 +39,8 @@ using testutil::RandomUniverse;
 // 200 universes split across the run-based and structure-based sweeps so
 // the whole binary stays well under the 60 s budget: structure checks
 // (compile, fingerprint) are cheap and take the full range; run-based
-// checks (full fits at two thread counts and two kernel tables) rotate through the presets so every preset sees dozens
-// of distinct universes.
+// checks (full fits at two thread counts and two kernel tables) rotate
+// through the presets so every preset sees dozens of distinct universes.
 constexpr uint64_t kNumUniverses = 200;
 
 // Reveals half of the labeled objects (always at least one — universe

@@ -79,7 +79,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <system_error>
@@ -100,6 +99,7 @@
 #include "obs/trace.h"
 #include "serve/fusion_service.h"
 #include "serve/line_protocol.h"
+#include "serve/line_stream.h"
 #include "serve/loadgen.h"
 #include "simd/simd.h"
 #include "storage/snapshot_io.h"
@@ -884,12 +884,13 @@ int RunBench(const CliOptions& options) {
               [](SlimFastOptions o) { return MakeSlimFastEm(o); });
 
   // --- Phase 5: SIMD wide vs scalar on the vectorized learners. ---
-  // Same seed; the only variable is the kernel table the simd layer dispatches to. The wide and scalar
-  // tables are width-8 and width-1 instantiations of one template with a
-  // lane-stable reduction, so the outputs must be bit-identical — the
-  // bench fails (non-zero exit) on any divergence, making the SIMD
-  // determinism contract a per-commit gate, not a tolerance. The two
-  // configs are the learners whose hot loops stream the kernels:
+  // Same seed; the only variable is the kernel table the simd layer
+  // dispatches to. The wide and scalar tables are width-8 and width-1
+  // instantiations of one template with a lane-stable reduction, so the
+  // outputs must be bit-identical — the bench fails (non-zero exit) on
+  // any divergence, making the SIMD determinism contract a per-commit
+  // gate, not a tolerance. The two configs are the learners whose hot
+  // loops stream the kernels:
   //   learn_em_simd    soft EM (batched E-step posterior + entropy
   //                    pipeline, M-step on per-source statistics)
   //   learn_erm_simd   full-batch accuracy-log-loss ERM (batched
@@ -1233,13 +1234,13 @@ int RunServe(const CliOptions& options) {
   }
 
   LineProtocol protocol(service.get());
-  std::string line;
-  bool quit = false;
-  while (!quit && std::getline(std::cin, line)) {
-    std::printf("%s\n", protocol.HandleLine(line, &quit).c_str());
-    std::fflush(stdout);
-  }
+  std::fflush(stdout);  // replies go to fd 1 directly, past stdio
+  const Status served = ServeStream(&protocol, STDIN_FILENO, STDOUT_FILENO);
   service->Stop();
+  if (!served.ok()) {
+    std::fprintf(stderr, "serve: %s\n", served.ToString().c_str());
+    return 1;
+  }
   return 0;
 }
 
@@ -1778,8 +1779,8 @@ int main(int argc, char** argv) {
       for (int32_t i = 0;
            i < options.explain && i < static_cast<int32_t>(ranked.size());
            ++i) {
-        auto explanation =
-            ExplainObject(model, dataset, ranked[static_cast<size_t>(i)].second);
+        auto explanation = ExplainObject(model, dataset,
+                                         ranked[static_cast<size_t>(i)].second);
         if (explanation.ok()) {
           std::printf("%s\n", explanation.ValueOrDie().ToString().c_str());
         }

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "data/dataset.h"
+#include "synth/synthetic.h"
 #include "test_util.h"
+#include "util/hash.h"
 
 namespace slimfast {
 namespace {
@@ -122,6 +124,63 @@ TEST(ObservationStoreAppendTest, ChunkedAppendsEqualFromDataset) {
     EXPECT_TRUE(store == full) << "chunks=" << num_chunks;
     EXPECT_EQ(store.content_fingerprint(), full.content_fingerprint());
   }
+}
+
+/// Order-sensitive hash of every array the store holds, its dimensions and
+/// its content fingerprint.
+uint64_t StoreDigest(const ObservationStore& store) {
+  uint64_t h = 0;
+  auto add = [&h](uint64_t v) { h = HashCombine(h, v); };
+  auto add_array = [&add](const auto& values) {
+    add(static_cast<uint64_t>(values.size()));
+    for (auto v : values) add(static_cast<uint64_t>(v));
+  };
+  add(static_cast<uint64_t>(store.num_sources()));
+  add(static_cast<uint64_t>(store.num_objects()));
+  add(static_cast<uint64_t>(store.num_values()));
+  add_array(store.sources());
+  add_array(store.values());
+  add_array(store.object_offsets());
+  add_array(store.domain_offsets());
+  add_array(store.domain_values());
+  add_array(store.truth());
+  add(store.content_fingerprint());
+  return h;
+}
+
+// Golden digests of chunked AppendBatch replays: every array and the
+// fingerprint after every step. A rewrite of the append that keeps every
+// bit keeps these values.
+TEST(ObservationStoreAppendTest, GoldenChunkedReplayDigest) {
+  SyntheticConfig config;
+  config.num_sources = 60;
+  config.num_objects = 500;
+  config.num_values = 4;
+  config.density = 0.1;
+  Dataset dataset = GenerateSynthetic(config, 17).ValueOrDie().dataset;
+  const ObservationStore full = ObservationStore::FromDataset(dataset);
+
+  std::vector<uint64_t> digests;
+  for (int32_t num_chunks : {1, 4, 32}) {
+    Dataset empty = std::move(DatasetBuilder("inc", dataset.num_sources(),
+                                             dataset.num_objects(),
+                                             dataset.num_values()))
+                        .Build()
+                        .ValueOrDie();
+    ObservationStore store = ObservationStore::FromDataset(empty);
+    uint64_t digest = StoreDigest(store);
+    for (const ObservationBatch& chunk :
+         ChunkDatasetForReplay(dataset, num_chunks)) {
+      store = store.AppendBatch(chunk).ValueOrDie();
+      digest = HashCombine(digest, StoreDigest(store));
+    }
+    EXPECT_TRUE(store == full) << "chunks=" << num_chunks;
+    digests.push_back(digest);
+  }
+  EXPECT_EQ(StoreDigest(full), 0xf5000483f7d8215dULL);
+  EXPECT_EQ(digests[0], 0xad73802eb2bf09b2ULL);
+  EXPECT_EQ(digests[1], 0x8f479febba879e89ULL);
+  EXPECT_EQ(digests[2], 0x90cac9757eabb406ULL);
 }
 
 TEST(ObservationStoreAppendTest, FingerprintTracksContent) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -127,6 +128,45 @@ TEST_F(RecoveryTest, SessionStateRoundTripsBitwise) {
   SLIMFAST_CHECK_OK(restored.Relearn().status());
   EXPECT_TRUE(*restored.ExportSnapshot() == *session.ExportSnapshot());
   EXPECT_TRUE(restored.ExportState() == session.ExportState());
+}
+
+// Golden digest of one shard snapshot file's bytes, store columns and
+// session state together. A change to the store that keeps every bit keeps
+// this value; the file must also restore to an equal session.
+TEST_F(RecoveryTest, GoldenShardSnapshotBytesDigest) {
+  fs::create_directories(dir_);
+  Dataset dataset = MakePlantedDataset({0.9, 0.8, 0.7, 0.6}, 40, 0.5, 5, 3);
+  FusionSessionOptions options;
+  options.seed = 5;
+  FusionSession session =
+      FusionSession::Create(dataset.num_sources(), dataset.num_objects(),
+                            dataset.num_values(), options,
+                            dataset.features())
+          .ValueOrDie();
+  for (const ObservationBatch& batch : ChunkDatasetForReplay(dataset, 4)) {
+    SLIMFAST_CHECK_OK(session.Ingest(batch).status());
+  }
+  const std::string path = ShardSnapshotPath(dir_, 0, 4);
+  SLIMFAST_CHECK_OK(WriteShardSnapshot(path, session.instance()->store,
+                                       session.ExportState()));
+
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a 64
+  for (char c : bytes) {
+    digest = (digest ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(bytes.size(), 1704u);
+  EXPECT_EQ(digest, 0x67825c4e18b6cd60ULL);
+
+  ShardCheckpoint checkpoint = ReadShardSnapshot(path).ValueOrDie();
+  FusionSession restored =
+      FusionSession::Restore(checkpoint.store, checkpoint.state, options,
+                             dataset.features())
+          .ValueOrDie();
+  EXPECT_TRUE(restored.instance()->store == session.instance()->store);
+  EXPECT_TRUE(*restored.ExportSnapshot() == *session.ExportSnapshot());
 }
 
 TEST_F(RecoveryTest, RestoreRejectsInconsistentState) {

@@ -186,14 +186,18 @@ class BenchReporter {
       out += "  \"metrics\": {\n    \"counters\": {";
       for (size_t i = 0; i < counters_.size(); ++i) {
         if (i > 0) out += ", ";
-        out += "\"" + JsonEscape(counters_[i].first) +
-               "\": " + std::to_string(counters_[i].second);
+        out += '"';
+        out += JsonEscape(counters_[i].first);
+        out += "\": ";
+        out += std::to_string(counters_[i].second);
       }
       out += "},\n    \"gauges\": {";
       for (size_t i = 0; i < gauges_.size(); ++i) {
         if (i > 0) out += ", ";
-        out += "\"" + JsonEscape(gauges_[i].first) +
-               "\": " + FormatSeconds(gauges_[i].second);
+        out += '"';
+        out += JsonEscape(gauges_[i].first);
+        out += "\": ";
+        out += FormatSeconds(gauges_[i].second);
       }
       out += "}\n  }\n";
     }

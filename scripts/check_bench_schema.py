@@ -45,7 +45,6 @@ import sys
 RUNTIME_REQUIRED_PHASES = [
     "generate_replicas",
     "compile",
-    "compile_cached",
     "learn_erm_batch",
     "learn_em",
     "learn_em_simd",
@@ -55,11 +54,10 @@ RUNTIME_REQUIRED_PHASES = [
     "relearn_warm",
 ]
 
-# Speedup entries the runtime scenario must measure: compilation caching,
-# the SIMD kernel tables over both learners, and the incremental engine
-# (delta-compile ingest, warm relearning).
+# Speedup entries the runtime scenario must measure: the SIMD kernel
+# tables over both learners, and the incremental engine (delta-compile
+# ingest, warm relearning).
 RUNTIME_REQUIRED_SPEEDUPS = [
-    "compile_cached_vs_cold",
     "learn_em_simd_vs_scalar",
     "learn_erm_simd_vs_scalar",
     "ingest_delta_vs_recompile",

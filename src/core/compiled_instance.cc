@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "util/hash.h"
-
 namespace slimfast {
 
 namespace {
@@ -85,38 +83,6 @@ void TrustScores(const CompiledModel& model, const std::vector<double>& w,
                    prod.data(), nullptr, sigma->data());
 }
 
-uint64_t DatasetCompilationFingerprint(const Dataset& dataset) {
-  uint64_t h = 0x534c694d46617374ULL;  // "SLiMFast"
-  h = HashCombine(h, static_cast<uint64_t>(dataset.num_sources()));
-  h = HashCombine(h, static_cast<uint64_t>(dataset.num_objects()));
-  h = HashCombine(h, static_cast<uint64_t>(dataset.num_values()));
-  h = HashCombine(h, static_cast<uint64_t>(dataset.num_observations()));
-  // Observations in canonical (by-object, insertion) order — the order
-  // every compilation pass walks.
-  for (ObjectId o = 0; o < dataset.num_objects(); ++o) {
-    for (const SourceClaim& claim : dataset.ClaimsOnObject(o)) {
-      uint64_t pair =
-          (static_cast<uint64_t>(static_cast<uint32_t>(claim.source)) << 32) |
-          static_cast<uint64_t>(static_cast<uint32_t>(claim.value));
-      h = HashCombine(h, pair);
-    }
-    h = HashCombine(h, static_cast<uint64_t>(static_cast<uint32_t>(
-                           dataset.HasTruth(o) ? dataset.Truth(o)
-                                               : kNoValue)));
-  }
-  // Per-source feature sets (sigma-term sparsity).
-  const FeatureSpace& features = dataset.features();
-  h = HashCombine(h, static_cast<uint64_t>(features.num_features()));
-  for (SourceId s = 0; s < dataset.num_sources(); ++s) {
-    const std::vector<FeatureId>& active = features.FeaturesOf(s);
-    h = HashCombine(h, static_cast<uint64_t>(active.size()));
-    for (FeatureId k : active) {
-      h = HashCombine(h, static_cast<uint64_t>(static_cast<uint32_t>(k)));
-    }
-  }
-  return h;
-}
-
 Result<std::shared_ptr<const CompiledInstance>> CompileInstance(
     const Dataset& dataset, const ModelConfig& config) {
   SLIMFAST_ASSIGN_OR_RETURN(CompiledModel compiled,
@@ -154,80 +120,6 @@ bool BitwiseEqual(const CompiledInstance& a, const CompiledInstance& b) {
          a.claim_cand == b.claim_cand && a.cand_offsets == b.cand_offsets &&
          a.copy_begin == b.copy_begin && a.copy_param == b.copy_param &&
          a.copy_cand == b.copy_cand;
-}
-
-CompiledInstanceCache& CompiledInstanceCache::Global() {
-  static CompiledInstanceCache* cache = new CompiledInstanceCache();
-  return *cache;
-}
-
-Result<std::shared_ptr<const CompiledInstance>>
-CompiledInstanceCache::GetOrCompile(const Dataset& dataset,
-                                    const ModelConfig& config) {
-  // A hit requires matching content hash, observation count, and config.
-  // The 64-bit hash is trusted without a full dataset comparison: at the
-  // cache's capacity (8 entries) a silent collision needs ~2^-61 luck,
-  // and the alternative — keeping or re-reading the full observation
-  // list per lookup — costs what the cache exists to save.
-  const uint64_t fingerprint = DatasetCompilationFingerprint(dataset);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (Entry& entry : entries_) {
-      if (entry.fingerprint == fingerprint &&
-          entry.num_observations == dataset.num_observations() &&
-          entry.config == config) {
-        entry.last_used = ++tick_;
-        ++hits_;
-        return entry.instance;
-      }
-    }
-  }
-  // Compile outside the lock: a miss is the expensive path and other
-  // threads may be hitting on different datasets meanwhile.
-  SLIMFAST_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledInstance> instance,
-                            CompileInstance(dataset, config));
-  std::lock_guard<std::mutex> lock(mu_);
-  ++misses_;
-  // A racing thread may have inserted the same key; reuse its entry so all
-  // callers share one instance.
-  for (Entry& entry : entries_) {
-    if (entry.fingerprint == fingerprint &&
-        entry.num_observations == dataset.num_observations() &&
-        entry.config == config) {
-      entry.last_used = ++tick_;
-      return entry.instance;
-    }
-  }
-  if (entries_.size() >= capacity_ && !entries_.empty()) {
-    size_t lru = 0;
-    for (size_t i = 1; i < entries_.size(); ++i) {
-      if (entries_[i].last_used < entries_[lru].last_used) lru = i;
-    }
-    entries_.erase(entries_.begin() + static_cast<int64_t>(lru));
-  }
-  entries_.push_back(Entry{fingerprint, dataset.num_observations(), config,
-                           instance, ++tick_});
-  return instance;
-}
-
-void CompiledInstanceCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-}
-
-size_t CompiledInstanceCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-int64_t CompiledInstanceCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-int64_t CompiledInstanceCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
 }
 
 }  // namespace slimfast

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/compilation.h"
@@ -142,55 +141,6 @@ Result<std::shared_ptr<const CompiledInstance>> DeltaCompile(
 /// every derived array (offsets compared as exact doubles). This is the
 /// delta-compilation correctness oracle.
 bool BitwiseEqual(const CompiledInstance& a, const CompiledInstance& b);
-
-/// Content fingerprint of everything compilation reads from a dataset:
-/// dimensions, the observation multiset in canonical order, ground truth,
-/// and the per-source feature sets. Two datasets with equal fingerprints
-/// compile identically under any config.
-uint64_t DatasetCompilationFingerprint(const Dataset& dataset);
-
-/// Process-wide LRU cache of CompiledInstances keyed on
-/// (DatasetCompilationFingerprint, ModelConfig). A SlimFast facade run,
-/// an eval-grid sweep, or a bench loop that re-fits the same dataset pays
-/// for compilation exactly once; all users share one immutable instance.
-/// Thread-safe.
-class CompiledInstanceCache {
- public:
-  /// The process-wide cache used by the SlimFast facade.
-  static CompiledInstanceCache& Global();
-
-  explicit CompiledInstanceCache(size_t capacity = 8)
-      : capacity_(capacity) {}
-
-  /// Returns the cached instance for (dataset, config), compiling and
-  /// inserting it on a miss. The least-recently-used entry is evicted when
-  /// the cache is full.
-  Result<std::shared_ptr<const CompiledInstance>> GetOrCompile(
-      const Dataset& dataset, const ModelConfig& config);
-
-  /// Drops every entry (tests; datasets freed mid-process).
-  void Clear();
-
-  size_t size() const;
-  int64_t hits() const;
-  int64_t misses() const;
-
- private:
-  struct Entry {
-    uint64_t fingerprint;
-    int64_t num_observations;
-    ModelConfig config;
-    std::shared_ptr<const CompiledInstance> instance;
-    uint64_t last_used;
-  };
-
-  mutable std::mutex mu_;
-  size_t capacity_;
-  uint64_t tick_ = 0;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
-  std::vector<Entry> entries_;
-};
 
 }  // namespace slimfast
 

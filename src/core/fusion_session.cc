@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "data/store_view.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "util/stopwatch.h"
@@ -122,12 +121,14 @@ Result<FusionSession> FusionSession::Restore(const ObservationStore& store,
   // AppendBatch also rejects a duplicate (source, object) pair, which
   // FromColumns does not check.
   ObservationBatch history;
-  const int64_t n = store.num_observations();
-  history.observations.reserve(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    const size_t k = static_cast<size_t>(i);
-    history.observations.push_back(Observation{
-        store.objects()[k], store.sources()[k], store.values()[k]});
+  history.observations.reserve(static_cast<size_t>(store.num_observations()));
+  for (ObjectId o = 0; o < store.num_objects(); ++o) {
+    const IndexRange claims = store.ObjectRange(o);
+    for (int64_t i = claims.begin; i < claims.end; ++i) {
+      const size_t k = static_cast<size_t>(i);
+      history.observations.push_back(
+          Observation{o, store.sources()[k], store.values()[k]});
+    }
   }
   for (ObjectId o = 0; o < store.num_objects(); ++o) {
     if (store.HasTruth(o)) {
@@ -287,8 +288,12 @@ FusionSnapshotPtr FusionSession::ExportSnapshot() const {
   snapshot->posterior_probs = posterior_probs_;
   snapshot->source_accuracies = source_accuracies_;
   snapshot->weights = weights_;
-  snapshot->claim_counts =
-      ObservationStoreView(&instance_->store).ClaimCounts();
+  const std::vector<int64_t>& offsets = instance_->store.object_offsets();
+  snapshot->claim_counts.resize(static_cast<size_t>(num_objects_));
+  for (size_t o = 0; o < snapshot->claim_counts.size(); ++o) {
+    snapshot->claim_counts[o] =
+        static_cast<int32_t>(offsets[o + 1] - offsets[o]);
+  }
   return snapshot;
 }
 

@@ -19,9 +19,9 @@ namespace slimfast {
 /// weights in and out, which the learners use for warm starts.
 class SlimFastModel {
  public:
-  /// Shares an already-compiled instance (e.g. from the
-  /// CompiledInstanceCache); only the weight vector is per-model state, so
-  /// any number of models can fit against one compilation. Weights start
+  /// Shares an already-compiled instance (CompileInstance or
+  /// DeltaCompile); only the weight vector is per-model state, so any
+  /// number of models can fit against one compilation. Weights start
   /// at zero (A_s = 0.5 for featureless sources).
   explicit SlimFastModel(std::shared_ptr<const CompiledInstance> instance);
 

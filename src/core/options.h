@@ -34,9 +34,9 @@ struct ModelConfig {
   /// domains, where the model is exactly Eq. 4.
   bool multiclass_offset = true;
 
-  /// Structural equality — the compilation cache keys on (dataset
-  /// fingerprint, config), so two configs compare equal exactly when they
-  /// compile any dataset identically.
+  /// Structural equality: two configs compare equal exactly when they
+  /// compile any dataset identically (part of CompiledModel equality, the
+  /// delta-compilation oracle).
   bool operator==(const ModelConfig&) const = default;
 };
 
@@ -180,17 +180,6 @@ struct SlimFastOptions {
   /// never changes results: every parallel stage reduces per-shard
   /// accumulators in fixed shard order (see exec/parallel.h).
   ExecOptions exec;
-  /// Reuse compiled instances across fits of the same (dataset, model
-  /// config) through the process-wide CompiledInstanceCache, so repeated
-  /// runs — eval grids, bench loops, EM restarts — compile once. When
-  /// off, `SlimFast::Fit` compiles a private instance for the fit.
-  /// Lifetime note: the cache retains up to its LRU capacity (8) of
-  /// compiled instances — each holds a columnar copy of the dataset's
-  /// observations — for the life of the process. Long-running services
-  /// cycling through many large datasets should call
-  /// CompiledInstanceCache::Global().Clear() when done with a dataset, or
-  /// set this to false to keep compilation scoped to the fit.
-  bool use_compilation_cache = true;
   /// Warm-start refinement for incremental relearning (see
   /// `WarmStartOptions`). Consulted by `SlimFast::FitCompiled` when the
   /// caller supplies a previous weight vector; plain `Run`/`Fit` calls

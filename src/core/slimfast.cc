@@ -27,19 +27,12 @@ int32_t WarmBudget(int32_t cold, double scale, int32_t floor) {
 Result<SlimFastFit> SlimFast::Fit(const Dataset& dataset,
                                   const TrainTestSplit& split,
                                   uint64_t seed, Executor* exec) const {
-  // Compilation: compile (or fetch from the process-wide cache) the
-  // CompiledInstance whose flat index ranges all learning stages walk.
-  // The structure is immutable and shared with the model via shared_ptr.
+  // Compilation: the CompiledInstance whose flat index ranges all
+  // learning stages walk. The structure is immutable and shared with the
+  // model via shared_ptr.
   Stopwatch compile_watch;
-  std::shared_ptr<const CompiledInstance> instance;
-  if (options_.use_compilation_cache) {
-    SLIMFAST_ASSIGN_OR_RETURN(instance,
-                              CompiledInstanceCache::Global().GetOrCompile(
-                                  dataset, options_.model));
-  } else {
-    SLIMFAST_ASSIGN_OR_RETURN(instance,
-                              CompileInstance(dataset, options_.model));
-  }
+  SLIMFAST_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledInstance> instance,
+                            CompileInstance(dataset, options_.model));
   double compile_seconds = compile_watch.ElapsedSeconds();
   if (obs::Enabled()) {
     static obs::LatencyHistogram* compile_hist =

@@ -22,8 +22,7 @@ struct SlimFastFit {
   Algorithm algorithm_used = Algorithm::kErm;
   double compile_seconds = 0.0;
   double learn_seconds = 0.0;
-  /// The compiled instance the fit ran over. Shared with the
-  /// CompiledInstanceCache when caching is on.
+  /// The compiled instance the fit ran over, shared with the model.
   std::shared_ptr<const CompiledInstance> instance;
   /// True when the fit seeded from a previous weight vector and ran the
   /// warm refinement schedule instead of the cold-start budget.

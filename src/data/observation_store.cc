@@ -1,8 +1,6 @@
 #include "data/observation_store.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "util/hash.h"
@@ -46,24 +44,6 @@ uint64_t TruthDigest(ObjectId object, ValueId value) {
 
 }  // namespace
 
-void ObservationStore::BuildSourceIndex() {
-  source_offsets_.assign(static_cast<size_t>(num_sources_) + 1, 0);
-  for (SourceId s : sources_) {
-    ++source_offsets_[static_cast<size_t>(s) + 1];
-  }
-  for (size_t s = 1; s < source_offsets_.size(); ++s) {
-    source_offsets_[s] += source_offsets_[s - 1];
-  }
-  source_observations_.assign(sources_.size(), 0);
-  std::vector<int64_t> cursor(source_offsets_.begin(),
-                              source_offsets_.end() - 1);
-  for (size_t i = 0; i < sources_.size(); ++i) {
-    size_t s = static_cast<size_t>(sources_[i]);
-    source_observations_[static_cast<size_t>(cursor[s]++)] =
-        static_cast<int64_t>(i);
-  }
-}
-
 ObservationStore ObservationStore::FromDataset(const Dataset& dataset) {
   ObservationStore store;
   store.num_sources_ = dataset.num_sources();
@@ -74,7 +54,6 @@ ObservationStore ObservationStore::FromDataset(const Dataset& dataset) {
                                        store.num_objects_,
                                        store.num_values_);
 
-  store.objects_.reserve(static_cast<size_t>(n));
   store.sources_.reserve(static_cast<size_t>(n));
   store.values_.reserve(static_cast<size_t>(n));
   store.object_offsets_.assign(static_cast<size_t>(store.num_objects_) + 1,
@@ -84,10 +63,9 @@ ObservationStore ObservationStore::FromDataset(const Dataset& dataset) {
   // the exact order Dataset::ClaimsOnObject exposes.
   for (ObjectId o = 0; o < store.num_objects_; ++o) {
     store.object_offsets_[static_cast<size_t>(o)] =
-        static_cast<int64_t>(store.objects_.size());
+        static_cast<int64_t>(store.sources_.size());
     int64_t position = 0;
     for (const SourceClaim& claim : dataset.ClaimsOnObject(o)) {
-      store.objects_.push_back(o);
       store.sources_.push_back(claim.source);
       store.values_.push_back(claim.value);
       store.fingerprint_ +=
@@ -95,9 +73,7 @@ ObservationStore ObservationStore::FromDataset(const Dataset& dataset) {
     }
   }
   store.object_offsets_[static_cast<size_t>(store.num_objects_)] =
-      static_cast<int64_t>(store.objects_.size());
-
-  store.BuildSourceIndex();
+      static_cast<int64_t>(store.sources_.size());
 
   // Flattened domains and truth.
   store.domain_offsets_.assign(static_cast<size_t>(store.num_objects_) + 1,
@@ -123,12 +99,9 @@ ObservationStore ObservationStore::FromDataset(const Dataset& dataset) {
 
 Result<ObservationStore> ObservationStore::AppendBatch(
     const ObservationBatch& batch) const {
-  // ---- Validate everything before touching any state. ----
-  // Claims grouped per object, preserving batch order within each object
-  // (the order they will occupy in the object's extended range).
-  std::unordered_map<ObjectId, std::vector<size_t>> by_object;
-  for (size_t i = 0; i < batch.observations.size(); ++i) {
-    const Observation& obs = batch.observations[i];
+  // ---- Validate everything before building any output. ----
+  const size_t num_objects = static_cast<size_t>(num_objects_);
+  for (const Observation& obs : batch.observations) {
     if (obs.object < 0 || obs.object >= num_objects_) {
       return Status::OutOfRange("batch object id " +
                                 std::to_string(obs.object) + " out of range");
@@ -141,41 +114,80 @@ Result<ObservationStore> ObservationStore::AppendBatch(
       return Status::OutOfRange("batch value id " +
                                 std::to_string(obs.value) + " out of range");
     }
-    by_object[obs.object].push_back(i);
   }
-  // One claim per (source, object) across the whole history, matching
-  // DatasetBuilder::AddObservation. The object's existing sources go into
-  // a hash set once, so validating a batch costs O(existing + batch) per
-  // touched object instead of rescanning the claim range for every claim
-  // (quadratic on hot objects under sustained ingest).
-  std::unordered_set<SourceId> seen_sources;
-  for (const auto& [object, indexes] : by_object) {
-    IndexRange range = ObjectRange(object);
-    seen_sources.clear();
-    seen_sources.reserve(static_cast<size_t>(range.size()) + indexes.size());
-    for (int64_t i = range.begin; i < range.end; ++i) {
-      seen_sources.insert(sources_[static_cast<size_t>(i)]);
+  // Counting sort of the batch by object, stable in batch order (the
+  // order the claims will occupy in each object's extended range): object
+  // o's new claims are [batch_begin[o], batch_begin[o + 1]) of
+  // batch_sources/batch_values.
+  std::vector<int64_t> batch_begin(num_objects + 1, 0);
+  for (const Observation& obs : batch.observations) {
+    ++batch_begin[static_cast<size_t>(obs.object) + 1];
+  }
+  for (size_t o = 1; o <= num_objects; ++o) {
+    batch_begin[o] += batch_begin[o - 1];
+  }
+  std::vector<SourceId> batch_sources(batch.observations.size());
+  std::vector<ValueId> batch_values(batch.observations.size());
+  {
+    std::vector<int64_t> cursor(batch_begin.begin(), batch_begin.end() - 1);
+    for (const Observation& obs : batch.observations) {
+      const size_t k =
+          static_cast<size_t>(cursor[static_cast<size_t>(obs.object)]++);
+      batch_sources[k] = obs.source;
+      batch_values[k] = obs.value;
     }
-    for (size_t a = 0; a < indexes.size(); ++a) {
-      SourceId source = batch.observations[indexes[a]].source;
-      if (seen_sources.count(source) > 0) {
+  }
+  auto touched = [&batch_begin](size_t o) {
+    return batch_begin[o + 1] > batch_begin[o];
+  };
+
+  // One claim per (source, object) across the whole history, matching
+  // DatasetBuilder::AddObservation. While touched object o is checked,
+  // stamp[s] == o marks source s as a claimant of o and claim_kind[s]
+  // says how: in history, once in the batch, or more than once in the
+  // batch. The first offending claim in batch order names the error, the
+  // history check ahead of the within-batch one.
+  enum : uint8_t { kInHistory, kOnceInBatch, kTwiceInBatch };
+  std::vector<ObjectId> stamp(static_cast<size_t>(num_sources_), -1);
+  std::vector<uint8_t> claim_kind(static_cast<size_t>(num_sources_));
+  for (size_t o = 0; o < num_objects; ++o) {
+    if (!touched(o)) continue;
+    const ObjectId object = static_cast<ObjectId>(o);
+    for (int64_t i = object_offsets_[o]; i < object_offsets_[o + 1]; ++i) {
+      const size_t s = static_cast<size_t>(sources_[static_cast<size_t>(i)]);
+      stamp[s] = object;
+      claim_kind[s] = kInHistory;
+    }
+    for (int64_t i = batch_begin[o]; i < batch_begin[o + 1]; ++i) {
+      const size_t s =
+          static_cast<size_t>(batch_sources[static_cast<size_t>(i)]);
+      if (stamp[s] != object) {
+        stamp[s] = object;
+        claim_kind[s] = kOnceInBatch;
+      } else if (claim_kind[s] == kOnceInBatch) {
+        claim_kind[s] = kTwiceInBatch;
+      }
+    }
+    for (int64_t i = batch_begin[o]; i < batch_begin[o + 1]; ++i) {
+      const SourceId source = batch_sources[static_cast<size_t>(i)];
+      if (claim_kind[static_cast<size_t>(source)] == kInHistory) {
         return Status::AlreadyExists(
             "duplicate observation for object " + std::to_string(object) +
             " by source " + std::to_string(source));
       }
-      for (size_t b = a + 1; b < indexes.size(); ++b) {
-        if (batch.observations[indexes[b]].source == source) {
-          return Status::AlreadyExists(
-              "batch claims object " + std::to_string(object) +
-              " twice for source " + std::to_string(source));
-        }
+      if (claim_kind[static_cast<size_t>(source)] == kTwiceInBatch) {
+        return Status::AlreadyExists(
+            "batch claims object " + std::to_string(object) +
+            " twice for source " + std::to_string(source));
       }
     }
   }
   // Truth labels must be in range and consistent with recorded truth; a
   // label repeated (in history or within the batch) with the same value is
-  // a no-op.
-  std::unordered_map<ObjectId, ValueId> new_truth;
+  // a no-op. New labels land directly in the output's truth column.
+  ObservationStore out;
+  out.fingerprint_ = fingerprint_;
+  out.truth_ = truth_;
   for (const TruthLabel& label : batch.truths) {
     if (label.object < 0 || label.object >= num_objects_) {
       return Status::OutOfRange("truth object id " +
@@ -187,99 +199,86 @@ Result<ObservationStore> ObservationStore::AppendBatch(
                                 std::to_string(label.value) +
                                 " out of range");
     }
-    ValueId existing = truth_[static_cast<size_t>(label.object)];
+    const ValueId existing = truth_[static_cast<size_t>(label.object)];
     if (existing != kNoValue && existing != label.value) {
       return Status::FailedPrecondition(
           "conflicting truth for object " + std::to_string(label.object));
     }
-    auto [it, inserted] = new_truth.emplace(label.object, label.value);
-    if (!inserted && it->second != label.value) {
+    ValueId& recorded = out.truth_[static_cast<size_t>(label.object)];
+    if (recorded == kNoValue) {
+      recorded = label.value;
+      out.fingerprint_ += TruthDigest(label.object, label.value);
+    } else if (recorded != label.value) {
       return Status::FailedPrecondition(
           "batch asserts two truths for object " +
           std::to_string(label.object));
     }
-    if (existing != kNoValue) new_truth.erase(label.object);  // no-op label
   }
 
-  // ---- Splice the columnar arrays (single merge pass). ----
-  ObservationStore out;
+  // ---- Splice the columnar arrays: history runs between touched objects
+  // are copied whole, each touched object gains its batch claims. ----
   out.num_sources_ = num_sources_;
   out.num_objects_ = num_objects_;
   out.num_values_ = num_values_;
-  out.fingerprint_ = fingerprint_;
-
-  const size_t total =
-      objects_.size() + batch.observations.size();
-  out.objects_.reserve(total);
+  const size_t total = sources_.size() + batch.observations.size();
   out.sources_.reserve(total);
   out.values_.reserve(total);
-  out.object_offsets_.assign(static_cast<size_t>(num_objects_) + 1, 0);
-  for (ObjectId o = 0; o < num_objects_; ++o) {
-    out.object_offsets_[static_cast<size_t>(o)] =
-        static_cast<int64_t>(out.objects_.size());
-    IndexRange range = ObjectRange(o);
-    out.objects_.insert(out.objects_.end(),
-                        objects_.begin() + range.begin,
-                        objects_.begin() + range.end);
-    out.sources_.insert(out.sources_.end(),
-                        sources_.begin() + range.begin,
-                        sources_.begin() + range.end);
-    out.values_.insert(out.values_.end(),
-                       values_.begin() + range.begin,
-                       values_.begin() + range.end);
-    auto it = by_object.find(o);
-    if (it == by_object.end()) continue;
-    int64_t position = range.size();
-    for (size_t idx : it->second) {
-      const Observation& obs = batch.observations[idx];
-      out.objects_.push_back(obs.object);
-      out.sources_.push_back(obs.source);
-      out.values_.push_back(obs.value);
+  out.object_offsets_.resize(num_objects + 1);
+  for (size_t o = 0; o <= num_objects; ++o) {
+    out.object_offsets_[o] = object_offsets_[o] + batch_begin[o];
+  }
+  int64_t copied = 0;
+  auto copy_history = [&](int64_t end) {
+    out.sources_.insert(out.sources_.end(), sources_.begin() + copied,
+                        sources_.begin() + end);
+    out.values_.insert(out.values_.end(), values_.begin() + copied,
+                       values_.begin() + end);
+    copied = end;
+  };
+  for (size_t o = 0; o < num_objects; ++o) {
+    if (!touched(o)) continue;
+    copy_history(object_offsets_[o + 1]);
+    int64_t position = object_offsets_[o + 1] - object_offsets_[o];
+    for (int64_t i = batch_begin[o]; i < batch_begin[o + 1]; ++i) {
+      const size_t k = static_cast<size_t>(i);
+      out.sources_.push_back(batch_sources[k]);
+      out.values_.push_back(batch_values[k]);
       out.fingerprint_ +=
-          ObservationDigest(o, position++, obs.source, obs.value);
+          ObservationDigest(static_cast<ObjectId>(o), position++,
+                            batch_sources[k], batch_values[k]);
     }
   }
-  out.object_offsets_[static_cast<size_t>(num_objects_)] =
-      static_cast<int64_t>(out.objects_.size());
+  copy_history(static_cast<int64_t>(sources_.size()));
 
-  out.BuildSourceIndex();
-
-  // ---- Patch the flattened domains: untouched objects copy their range,
-  // touched objects re-merge (sorted, deduplicated — the Dataset domain
+  // ---- Patch the flattened domains: untouched runs copy whole, touched
+  // objects re-merge (sorted, deduplicated — the Dataset domain
   // contract). ----
-  out.domain_offsets_.assign(static_cast<size_t>(num_objects_) + 1, 0);
+  out.domain_offsets_.resize(num_objects + 1);
   out.domain_values_.reserve(domain_values_.size());
   std::vector<ValueId> merged;
-  for (ObjectId o = 0; o < num_objects_; ++o) {
-    out.domain_offsets_[static_cast<size_t>(o)] =
-        static_cast<int64_t>(out.domain_values_.size());
-    IndexRange range = DomainRange(o);
-    auto it = by_object.find(o);
-    if (it == by_object.end()) {
-      out.domain_values_.insert(out.domain_values_.end(),
-                                domain_values_.begin() + range.begin,
-                                domain_values_.begin() + range.end);
-      continue;
-    }
-    merged.assign(domain_values_.begin() + range.begin,
-                  domain_values_.begin() + range.end);
-    for (size_t idx : it->second) {
-      merged.push_back(batch.observations[idx].value);
-    }
+  int64_t shift = 0;
+  int64_t domain_copied = 0;
+  for (size_t o = 0; o <= num_objects; ++o) {
+    out.domain_offsets_[o] = domain_offsets_[o] + shift;
+    if (o == num_objects || !touched(o)) continue;
+    out.domain_values_.insert(out.domain_values_.end(),
+                              domain_values_.begin() + domain_copied,
+                              domain_values_.begin() + domain_offsets_[o]);
+    merged.assign(domain_values_.begin() + domain_offsets_[o],
+                  domain_values_.begin() + domain_offsets_[o + 1]);
+    merged.insert(merged.end(), batch_values.begin() + batch_begin[o],
+                  batch_values.begin() + batch_begin[o + 1]);
     std::sort(merged.begin(), merged.end());
     merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
     out.domain_values_.insert(out.domain_values_.end(), merged.begin(),
                               merged.end());
+    shift += static_cast<int64_t>(merged.size()) -
+             (domain_offsets_[o + 1] - domain_offsets_[o]);
+    domain_copied = domain_offsets_[o + 1];
   }
-  out.domain_offsets_[static_cast<size_t>(num_objects_)] =
-      static_cast<int64_t>(out.domain_values_.size());
-
-  // ---- Truth. ----
-  out.truth_ = truth_;
-  for (const auto& [object, value] : new_truth) {
-    out.truth_[static_cast<size_t>(object)] = value;
-    out.fingerprint_ += TruthDigest(object, value);
-  }
+  out.domain_values_.insert(out.domain_values_.end(),
+                            domain_values_.begin() + domain_copied,
+                            domain_values_.end());
   return out;
 }
 
@@ -321,7 +320,12 @@ ObservationStore::Columns ObservationStore::ToColumns() const {
   columns.num_sources = num_sources_;
   columns.num_objects = num_objects_;
   columns.num_values = num_values_;
-  columns.objects = objects_;
+  columns.objects.resize(sources_.size());
+  for (size_t o = 0; o < static_cast<size_t>(num_objects_); ++o) {
+    std::fill(columns.objects.begin() + object_offsets_[o],
+              columns.objects.begin() + object_offsets_[o + 1],
+              static_cast<ObjectId>(o));
+  }
   columns.sources = sources_;
   columns.values = values_;
   columns.object_offsets = object_offsets_;
@@ -397,13 +401,11 @@ Result<ObservationStore> ObservationStore::FromColumns(Columns columns) {
   store.num_sources_ = columns.num_sources;
   store.num_objects_ = columns.num_objects;
   store.num_values_ = columns.num_values;
-  store.objects_ = std::move(columns.objects);
   store.sources_ = std::move(columns.sources);
   store.values_ = std::move(columns.values);
   store.object_offsets_ = std::move(columns.object_offsets);
   store.truth_ = std::move(columns.truth);
   store.fingerprint_ = fingerprint;
-  store.BuildSourceIndex();
 
   // Domains are derived state: the sorted, deduplicated claimed values of
   // each object (the Dataset domain contract), rebuilt rather than

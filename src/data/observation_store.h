@@ -53,8 +53,9 @@ struct ObservationBatch {
 std::vector<ObservationBatch> ChunkDatasetForReplay(const Dataset& dataset,
                                                     int32_t num_chunks);
 
-/// Columnar (structure-of-arrays) view of a Dataset's observation multiset
-/// Ω with CSR-style secondary indexes.
+/// Columnar (structure-of-arrays) form of a Dataset's observation
+/// multiset Ω: the one copy of the claims that compilation and learning
+/// read.
 ///
 /// The canonical observation order sorts by object id, preserving the
 /// dataset's insertion order within each object — exactly the order
@@ -63,13 +64,13 @@ std::vector<ObservationBatch> ChunkDatasetForReplay(const Dataset& dataset,
 /// Dataset's per-object vectors (so a compiled instance scores an
 /// object's candidates from its claims in dataset order).
 ///
-/// Three contiguous id arrays hold the observations (objects()[i],
-/// sources()[i], values()[i] describe observation i); per-object and
-/// per-source CSR offset arrays give O(1) range lookup without hashing or
-/// pointer chasing. Domains and ground truth are flattened the same way.
-/// The store is immutable after construction and holds no reference to the
-/// Dataset it was built from; growth happens by value through AppendBatch,
-/// which returns a patched copy (the incremental-fusion ingest path).
+/// Two contiguous id arrays hold the observations (sources()[i] and
+/// values()[i] describe observation i); per-object CSR offsets give the
+/// O(1) range of an object's claims. Domains and ground truth are
+/// flattened the same way. The store is immutable after construction and
+/// holds no reference to the Dataset it was built from; growth happens by
+/// value through AppendBatch, which returns a patched copy (the
+/// incremental-fusion ingest path).
 class ObservationStore {
  public:
   ObservationStore() = default;
@@ -78,10 +79,11 @@ class ObservationStore {
   static ObservationStore FromDataset(const Dataset& dataset);
 
   /// The raw columnar content of a store — its serialization surface.
-  /// Only the primary arrays travel: the by-source index and the
-  /// flattened domains are pure functions of the claims and are rebuilt
-  /// by FromColumns, so a snapshot cannot smuggle in an inconsistent
-  /// derived index.
+  /// Only the primary arrays travel: the flattened domains are a pure
+  /// function of the claims and are rebuilt by FromColumns, so a snapshot
+  /// cannot smuggle in an inconsistent derived index. `objects` (each
+  /// claim's object id) is not held by the store: ToColumns expands it
+  /// from the offsets and FromColumns checks it against them.
   struct Columns {
     int32_t num_sources = 0;
     int32_t num_objects = 0;
@@ -97,7 +99,7 @@ class ObservationStore {
   /// Rebuilds a store from serialized columns (the snapshot bulk-load
   /// path). Validates the structure (offset shape, ids in range, the
   /// object column consistent with its offsets), rebuilds the derived
-  /// by-source index and domains, then recomputes the content
+  /// domains, then recomputes the content
   /// fingerprint from scratch and requires it to match
   /// `columns.fingerprint` — the end-to-end integrity oracle: a store
   /// loaded this way is bitwise equal to the one that was serialized,
@@ -110,9 +112,9 @@ class ObservationStore {
 
   /// Returns a new store extended with `batch`: each object's new claims
   /// are spliced onto the end of its existing CSR range (preserving the
-  /// canonical object-major, insertion-within-object order), the
-  /// per-source index is recounted, touched domains are re-merged, and the
-  /// content fingerprint is updated incrementally from the batch alone.
+  /// canonical object-major, insertion-within-object order), touched
+  /// domains are re-merged, and the content fingerprint is updated
+  /// incrementally from the batch alone.
   /// The result is indistinguishable — array for array, bit for bit — from
   /// a store rebuilt from scratch over the concatenated observations
   /// (asserted in data_observation_store_test).
@@ -121,7 +123,8 @@ class ObservationStore {
   /// dimensions, a (source, object) pair may claim at most once across the
   /// whole history, and a truth label may not contradict one already
   /// recorded (re-asserting the same truth is a no-op). On error the
-  /// existing store is unchanged and no partial batch is applied.
+  /// existing store is unchanged and no partial batch is applied. The
+  /// scratch space is O(objects + sources + batch) and freed on return.
   Result<ObservationStore> AppendBatch(const ObservationBatch& batch) const;
 
   /// Order-sensitive content fingerprint of the store: dimensions, every
@@ -140,7 +143,6 @@ class ObservationStore {
   }
 
   /// Columnar id arrays in canonical (by-object) order.
-  const std::vector<ObjectId>& objects() const { return objects_; }
   const std::vector<SourceId>& sources() const { return sources_; }
   const std::vector<ValueId>& values() const { return values_; }
 
@@ -155,18 +157,6 @@ class ObservationStore {
   IndexRange ObjectRange(ObjectId object) const {
     size_t o = static_cast<size_t>(object);
     return IndexRange{object_offsets_[o], object_offsets_[o + 1]};
-  }
-
-  /// Range of `source`'s observations in source_observations(); entries
-  /// index into the columnar arrays, in canonical order.
-  IndexRange SourceRange(SourceId source) const {
-    size_t s = static_cast<size_t>(source);
-    return IndexRange{source_offsets_[s], source_offsets_[s + 1]};
-  }
-
-  /// CSR payload of SourceRange: indices into the columnar arrays.
-  const std::vector<int64_t>& source_observations() const {
-    return source_observations_;
   }
 
   /// Range of `object`'s candidate domain in domain_values() (ascending,
@@ -194,33 +184,24 @@ class ObservationStore {
   /// Index of `value` within `object`'s domain range, or -1 if absent.
   int32_t DomainIndexOf(ObjectId object, ValueId value) const;
 
-  /// Structural equality over every columnar array, index, and the
+  /// Structural equality over every columnar array, offset, and the
   /// fingerprint — the "bitwise equal" check the delta-maintenance tests
   /// and bench assertions rely on.
   bool operator==(const ObservationStore&) const = default;
 
  private:
-  /// Rebuilds the by-source CSR index (counting sort over the canonical
-  /// arrays). Shared by FromDataset and AppendBatch.
-  void BuildSourceIndex();
   int32_t num_sources_ = 0;
   int32_t num_objects_ = 0;
   int32_t num_values_ = 0;
 
   // Columnar observation arrays, canonical order (by object, insertion
   // order within object).
-  std::vector<ObjectId> objects_;
   std::vector<SourceId> sources_;
   std::vector<ValueId> values_;
 
   // CSR offsets: object_offsets_[o] .. object_offsets_[o+1] is object o's
   // slice of the columnar arrays. Size num_objects + 1.
   std::vector<int64_t> object_offsets_;
-
-  // CSR by source: source_offsets_ (size num_sources + 1) into
-  // source_observations_, whose entries index the columnar arrays.
-  std::vector<int64_t> source_offsets_;
-  std::vector<int64_t> source_observations_;
 
   // Flattened candidate domains: domain_offsets_ (size num_objects + 1)
   // into domain_values_.

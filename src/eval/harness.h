@@ -52,10 +52,9 @@ struct CellResult {
 /// the thread budget, and a default-options method would resolve
 /// SLIMFAST_THREADS and spawn a nested pool per concurrent cell.
 ///
-/// Every SLiMFast cell shares the same dataset, so with the default
-/// SlimFastOptions the grid compiles once into the process-wide
-/// CompiledInstanceCache and all (fraction × seed) cells reuse that one
-/// instance — the per-cell cost is learning + inference only.
+/// Every SLiMFast cell compiles its own instance of the dataset; a
+/// compile costs one linear pass over the claims, small next to each
+/// cell's learning + inference.
 ///
 /// \param dataset  the fusion instance every cell runs on
 /// \param methods  non-owning method pointers; each must outlive the call

@@ -323,10 +323,10 @@ std::string LineProtocol::Reply(std::string_view command, const Args& args,
         "EVENTS n=" + std::to_string(events.size()) +
         " dropped=" + std::to_string(log.dropped());
     for (const obs::Event& event : events) {
-      reply += "\n" + FormatDouble(static_cast<double>(event.ts_ns) * 1e-9) +
-               " " + obs::EventSeverityName(event.severity) + " " +
-               event.stage + " shard=" + std::to_string(event.shard) + " " +
-               event.message;
+      reply += '\n';
+      reply += FormatDouble(static_cast<double>(event.ts_ns) * 1e-9) + " " +
+               obs::EventSeverityName(event.severity) + " " + event.stage +
+               " shard=" + std::to_string(event.shard) + " " + event.message;
     }
     return reply + "\n# EOF";
   }
@@ -380,8 +380,8 @@ std::string LineProtocol::Reply(std::string_view command, const Args& args,
         " res=" + std::to_string(series->bucket_nanos(r) / 1'000'000'000) +
         "s samples=" + std::to_string(samples.size());
     for (size_t i = 0; i < samples.size(); ++i) {
-      reply += "\n" +
-               FormatDouble(static_cast<double>(samples[i].bucket_start_ns) *
+      reply += '\n';
+      reply += FormatDouble(static_cast<double>(samples[i].bucket_start_ns) *
                             1e-9) +
                " " + FormatDouble(samples[i].value);
       if (counter) {
@@ -407,9 +407,10 @@ std::string LineProtocol::Reply(std::string_view command, const Args& args,
         "SLOW n=" + std::to_string(exemplars.size()) +
         " threshold_ns=" + std::to_string(log.ThresholdNanos());
     for (const obs::SlowExemplar& e : exemplars) {
-      reply += "\n" + FormatDouble(static_cast<double>(e.ts_ns) * 1e-9) +
-               " " + e.kind + " " + std::to_string(e.duration_ns) +
-               "ns shard=" + std::to_string(e.shard) + " " + e.detail;
+      reply += '\n';
+      reply += FormatDouble(static_cast<double>(e.ts_ns) * 1e-9) + " " +
+               e.kind + " " + std::to_string(e.duration_ns) + "ns shard=" +
+               std::to_string(e.shard) + " " + e.detail;
     }
     return reply + "\n# EOF";
   }

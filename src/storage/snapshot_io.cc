@@ -118,7 +118,13 @@ void AppendStoreColumns(const ObservationStore& store, std::string* out) {
   AppendI32(out, store.num_sources());
   AppendI32(out, store.num_objects());
   AppendI32(out, store.num_values());
-  AppendArray(out, store.objects());
+  // The objects column (each claim's object id) is expanded from the
+  // offsets; the store does not hold it.
+  AppendU64(out, static_cast<uint64_t>(store.num_observations()));
+  for (ObjectId o = 0; o < store.num_objects(); ++o) {
+    const IndexRange claims = store.ObjectRange(o);
+    for (int64_t i = claims.begin; i < claims.end; ++i) AppendI32(out, o);
+  }
   AppendArray(out, store.sources());
   AppendArray(out, store.values());
   AppendArray(out, store.object_offsets());

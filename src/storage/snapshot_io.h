@@ -28,14 +28,16 @@ Status WriteSnapshotFile(const std::string& path,
 /// framing or checksum failure.
 Result<std::string> ReadSnapshotFile(const std::string& path);
 
-/// Appends the store's primary columns (dimensions, claim arrays,
-/// per-object offsets, truth, fingerprint) as payload sections — the
-/// bulk-load serialization ReadStoreColumns reverses.
+/// Appends the store's primary columns (dimensions, claim arrays with the
+/// objects column expanded from the per-object offsets, the offsets,
+/// truth, fingerprint) as payload sections — the bulk-load serialization
+/// ReadStoreColumns reverses.
 void AppendStoreColumns(const ObservationStore& store, std::string* out);
 
 /// Reads the sections AppendStoreColumns wrote and rebuilds the store
-/// via ObservationStore::FromColumns (which re-derives the by-source
-/// index and domains and verifies the content fingerprint).
+/// via ObservationStore::FromColumns (which checks the objects column
+/// against the offsets, re-derives the domains and verifies the content
+/// fingerprint).
 Result<ObservationStore> ReadStoreColumns(ByteReader* in);
 
 }  // namespace slimfast

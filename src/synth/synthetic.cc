@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "exec/sharded_rng.h"
 #include "util/math.h"
@@ -85,8 +86,11 @@ Result<SyntheticDataset> GenerateSynthetic(const SyntheticConfig& config,
     for (size_t g = 0; g < group_sizes.size(); ++g) {
       group_offset.push_back(static_cast<int32_t>(feature_effect.size()));
       for (int32_t v = 0; v < group_sizes[g]; ++v) {
-        features->RegisterFeature("g" + std::to_string(g) + "=v" +
-                                  std::to_string(v));
+        std::string name = "g";
+        name += std::to_string(g);
+        name += "=v";
+        name += std::to_string(v);
+        features->RegisterFeature(name);
         feature_effect.push_back(
             rng.Uniform(-group_effects[g], group_effects[g]));
       }

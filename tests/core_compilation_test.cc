@@ -149,10 +149,13 @@ TEST(CompilationTest, DomainIndexLookup) {
   EXPECT_EQ(instance->store.DomainIndexOf(0, 7), -1);
   // Each claim's candidate index is the store's domain index of its value.
   const ObservationStore& store = instance->store;
-  for (int64_t i = 0; i < store.num_observations(); ++i) {
-    const size_t k = static_cast<size_t>(i);
-    EXPECT_EQ(instance->claim_cand[k],
-              store.DomainIndexOf(store.objects()[k], store.values()[k]));
+  for (ObjectId o = 0; o < store.num_objects(); ++o) {
+    const IndexRange claims = store.ObjectRange(o);
+    for (int64_t i = claims.begin; i < claims.end; ++i) {
+      const size_t k = static_cast<size_t>(i);
+      EXPECT_EQ(instance->claim_cand[k],
+                store.DomainIndexOf(o, store.values()[k]));
+    }
   }
 }
 

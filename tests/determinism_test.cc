@@ -157,37 +157,6 @@ TEST(DeterminismTest, Threads1VsThreads4BitIdenticalBatchErm) {
   ExpectSameFusionOutput(first, second);
 }
 
-/// The compilation cache never leaks into results: a fit on a freshly
-/// compiled instance and one on the process-wide cached instance produce
-/// bit-identical FusionOutput for every preset, at 1 and at 4 threads.
-TEST(DeterminismTest, CacheOnVsOffBitIdenticalAllPresets) {
-  const std::vector<double> planted = {0.9, 0.8, 0.7, 0.85, 0.75, 0.65};
-  std::vector<std::pair<std::string, Dataset>> datasets;
-  datasets.emplace_back("figure1", testutil::MakeFigure1Dataset());
-  datasets.emplace_back("planted", MakePlantedDataset(planted, 150, 0.4, 29));
-  for (auto& [dataset_name, dataset] : datasets) {
-    SCOPED_TRACE(dataset_name);
-    Rng rng(4);
-    TrainTestSplit split = MakeSplit(dataset, 0.15, &rng).ValueOrDie();
-    for (int32_t threads : {1, 4}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      for (const auto& preset : AllSlimFastPresets()) {
-        SCOPED_TRACE(preset.name);
-        SlimFastOptions uncached;
-        uncached.use_compilation_cache = false;
-        uncached.exec.threads = threads;
-        SlimFastOptions cached = uncached;
-        cached.use_compilation_cache = true;
-        auto uncached_out =
-            preset.make_with(uncached)->Run(dataset, split, 123).ValueOrDie();
-        auto cached_out =
-            preset.make_with(cached)->Run(dataset, split, 123).ValueOrDie();
-        ExpectSameFusionOutput(uncached_out, cached_out);
-      }
-    }
-  }
-}
-
 /// Baseline methods resolved through the registry are deterministic too,
 /// so the full bench suite is reproducible end to end.
 TEST(DeterminismTest, RegistryBaselinesAreSeedDeterministic) {

@@ -121,7 +121,6 @@ FusionOutput RunConfigured(const testutil::SlimFastPreset& preset,
                            int32_t threads) {
   SlimFastOptions options = FastOptions();
   options.exec.threads = threads;
-  options.use_compilation_cache = false;
   return preset.make_with(options)->Run(dataset, split, seed).ValueOrDie();
 }
 
@@ -168,8 +167,7 @@ TEST(PropertyTest, RunInvariantsBatchLearners) {
     auto make = [&](int32_t threads) {
       SlimFastOptions options = FastOptions();
       options.exec.threads = threads;
-      options.use_compilation_cache = false;
-      options.em.soft = true;
+          options.em.soft = true;
       options.erm.batch = true;
       return em ? MakeSlimFastEm(options) : MakeSlimFastErm(options);
     };

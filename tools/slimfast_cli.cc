@@ -35,7 +35,7 @@
 //                         chrome://tracing JSON timeline to FILE on exit
 //
 // The `bench` subcommand runs the Table-5-style runtime scenario (synthetic
-// generation, compilation cold vs cached, ERM + EM learning, SIMD wide
+// generation, compilation, ERM + EM learning, SIMD wide
 // vs scalar learners with a per-core scaling curve, the eval grid,
 // incremental delta-compilation vs full recompiles, and warm vs cold
 // relearning) and writes per-phase seconds as BENCH_runtime.json (override
@@ -756,10 +756,8 @@ int RunReplay(const CliOptions& options) {
 ///
 /// Phases (each timed and recorded in the shared BenchReporter schema):
 ///   generate_replicas  parallel synthetic dataset generation (src/synth)
-///   compile            cold compilation into a CompiledInstance (flat
+///   compile            compilation into a CompiledInstance (flat
 ///                      sparse structure + columnar ObservationStore)
-///   compile_cached     the same lookup served by CompiledInstanceCache —
-///                      the cost every re-fit pays after the first
 ///   learn_erm_batch    batch ERM over the CompiledInstance flat ranges
 ///   learn_em           hard EM (M-step on per-source statistics)
 ///   learn_em_simd      soft EM over the flat ranges with the wide SIMD
@@ -819,41 +817,20 @@ int RunBench(const CliOptions& options) {
   TrainTestSplit split =
       MakeSplit(dataset, 0.1, &split_rng).ValueOrDie();
 
-  // --- Phase 2: compilation, cold vs cached. ---
-  // Cold = fingerprint + full Compile + flatten (a cache miss); cached =
-  // fingerprint + lookup (what every ERM epoch loop, EM re-fit, or grid
-  // cell pays after the first run on a dataset).
-  CompiledInstanceCache& cache = CompiledInstanceCache::Global();
-  cache.Clear();
+  // --- Phase 2: compilation. ---
   ModelConfig model_config;  // the SLiMFast preset's model structure
   std::shared_ptr<const CompiledInstance> instance;
   double compile_seconds = bench::TimeSeconds([&] {
-    instance = cache.GetOrCompile(dataset, model_config).ValueOrDie();
+    instance = CompileInstance(dataset, model_config).ValueOrDie();
   });
-  std::shared_ptr<const CompiledInstance> cached_instance;
-  double compile_cached_seconds = bench::TimeSeconds([&] {
-    cached_instance = cache.GetOrCompile(dataset, model_config).ValueOrDie();
-  });
-  if (cached_instance.get() != instance.get()) {
-    std::fprintf(stderr,
-                 "bench: compilation cache failed to return the shared "
-                 "instance\n");
-    return 1;
-  }
-  double compile_speedup = compile_cached_seconds > 0.0
-                               ? compile_seconds / compile_cached_seconds
-                               : 0.0;
   reporter.AddPhase("compile", compile_seconds, 1);
-  reporter.AddPhase("compile_cached", compile_cached_seconds, 1);
-  reporter.AddSpeedup("compile_cached_vs_cold", 1, 1, compile_speedup);
-  std::printf("  compile            %7.3fs cold, %.6fs cached (%.0fx)\n",
-              compile_seconds, compile_cached_seconds, compile_speedup);
+  std::printf("  compile            %.6fs\n", compile_seconds);
 
   // --- Phases 3+4: ERM and EM learning. ---
   // Same seed, same split, same thread budget. The recorded seconds are
   // the *learning* stage only (FusionOutput::learn_seconds — the ERM
   // epochs / EM iterations); compilation is measured by the compile
-  // phases above.
+  // phase above.
   auto learn_phase = [&](const char* name, bool batch_erm,
                          auto&& make_method) {
     SlimFastOptions learn_options;
@@ -908,7 +885,6 @@ int RunBench(const CliOptions& options) {
   auto make_em_simd_options = [&](int32_t phase_threads) {
     SlimFastOptions o;
     o.exec.threads = phase_threads;
-    o.use_compilation_cache = false;
     o.em.soft = true;
     // Pin the iteration budget so the phase measures steady per-sweep
     // cost, not when convergence happens to trigger.
@@ -963,7 +939,6 @@ int RunBench(const CliOptions& options) {
   if (simd_phase("learn_erm_simd", [&] {
         SlimFastOptions o;
         o.exec.threads = threads;
-        o.use_compilation_cache = false;
         o.erm.loss = ErmLoss::kAccuracyLogLoss;
         o.erm.batch = true;
         o.erm.tolerance = 0.0;
@@ -1006,8 +981,6 @@ int RunBench(const CliOptions& options) {
   }
 
   // --- Phase 6: parallel eval grid. ---
-  // Every SLiMFast cell shares the dataset, so the grid hits the
-  // compilation cache after the first cell.
   std::vector<std::unique_ptr<FusionMethod>> methods_owned;
   SlimFastOptions grid_options;
   grid_options.exec.threads = 1;  // grid parallelism lives in the harness
